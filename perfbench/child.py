@@ -6,6 +6,10 @@ Usage: python3 child.py RESULT_JSON TRACE -- TRP_BENCH_ARGS...
 with its CSV closed; ``setup_s`` covers the import and building the config.
 With TRACE = 1 the layers are wrapped after set-up (see tracing.py), and
 every warning is recorded so that rank-deficient sketches can be counted.
+
+``peak_rss_mb`` is the process's own high-water mark (``VmHWM``).  Linux
+carries ``ru_maxrss`` over from the parent through fork and exec, so it
+would report the benchmark's own peak whenever that is the larger.
 """
 
 import json
@@ -13,6 +17,17 @@ import resource
 import sys
 import time
 import warnings
+
+
+def peak_rss_mb() -> float:
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def main() -> int:
@@ -45,7 +60,7 @@ def main() -> int:
     result.update(
         rc=rc,
         wall_s=wall_s,
-        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        peak_rss_mb=peak_rss_mb(),
     )
     with open(result_path, "w") as f:
         json.dump(result, f)

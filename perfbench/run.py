@@ -7,7 +7,9 @@ Usage, from the root of a checkout:
 A run imports the package once to warm the caches, then starts timed
 processes one after another until ``--seconds`` have passed.  Every process
 runs the workload with the same seed: the first one's CSV is checked in
-full, and every later CSV must match it byte for byte.  With
+full, and every later CSV must match it byte for byte.  A fixed reference
+loop (reference.py) is timed just before and just after each process, and
+the process's timings are rescaled by it to reference seconds.  With
 ``--trace 0`` the timed processes run untraced and the end-to-end metrics
 are reported; with ``--trace 1`` they alternate untraced and traced, and the
 per-layer metrics and the tracing overhead are reported.  The last line of
@@ -30,6 +32,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+from reference import REF_SECONDS, reference_loop
 
 HERE = Path(__file__).resolve().parent
 ROOT = Path.cwd()
@@ -80,23 +84,45 @@ def child_env() -> dict[str, str]:
 
 
 def run_process(wl, seed: int, trace: bool, work: Path, index: int) -> dict:
-    """Run one workload process; return its timings, digest and problems."""
+    """Run one workload process; return its timings, digest and problems.
+
+    The reference loop is timed here just before and just after the
+    process, so that the process's memory is its own.
+    """
     csv, result = work / f"{index}.csv", work / f"{index}.json"
     cmd = [sys.executable, str(HERE / "child.py"), str(result), str(int(trace)), "--",
            *wl.trp_bench_argv(seed, str(csv))]
+    ref_before = reference_loop()
     try:
         proc = subprocess.run(cmd, env=child_env(), stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, timeout=CHILD_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {"trace": trace, "problems": [f"process {index} timed out"]}
+    ref_after = reference_loop()
     if proc.returncode != 0 or not result.is_file() or not csv.is_file():
         tail = proc.stderr.decode(errors="replace").strip().splitlines()[-3:]
         return {"trace": trace, "problems": [f"process {index} exited {proc.returncode}: {tail}"]}
     out = json.loads(result.read_text())
     out["trace"] = trace
+    out["ref_s"] = [ref_before, ref_after]
     out["sha256"], out["rows"] = file_digest(csv)
     out["problems"] = []
+    return rescale(out)
+
+
+def rescale(out: dict) -> dict:
+    """Timings of one process in reference seconds; the measured ones as ``measured_*``.
+
+    Each is multiplied by ``REF_SECONDS`` over the mean of the reference
+    loop's times around the process.
+    """
+    scale = REF_SECONDS / statistics.fmean(out["ref_s"])
+    out["measured_setup_s"], out["measured_wall_s"] = out["setup_s"], out["wall_s"]
+    out["setup_s"] *= scale
+    out["wall_s"] *= scale
     out["draws_per_s"] = out["rows"] / (out["wall_s"] - out["setup_s"])
+    if "self_s" in out:
+        out["self_s"] = {layer: t * scale for layer, t in out["self_s"].items()}
     return out
 
 
@@ -166,6 +192,7 @@ def run_record(args, wl) -> dict:
         "blas": blas_name,
         "nproc": os.cpu_count(),
         "blas_threads": THREADS,
+        "ref_seconds": REF_SECONDS,
         "commit": git_commit(),
         "source_sha256": source_digest(),
         "workload": wl.name,
@@ -290,6 +317,12 @@ def measure(args, wl, work: Path) -> int:
 
     print(f"{wl.name}: {' '.join(record['argv'])}")
     print(f"csv sha256 {record['csv_sha256']}; record in {record_path.relative_to(ROOT)}")
+    if untraced:
+        print("  measured, not rescaled: median wall "
+              f"{statistics.median(p['measured_wall_s'] for p in untraced):.6g} s, setup "
+              f"{statistics.median(p['measured_setup_s'] for p in untraced):.6g} s, reference "
+              f"loop {statistics.median(r for p in untraced for r in p['ref_s']):.6g} s; "
+              f"below, times are in reference seconds ({REF_SECONDS} s per loop)")
     for name, s in timings.items():
         tail = (f", p{s['tail_pct']} {s['tail']:.6g}" if "tail" in s
                 else "; no percentile has 10 samples above it")

@@ -1,4 +1,4 @@
-"""Tests of the benchmark's tracer: python3 -m pytest perfbench"""
+"""Tests of the benchmark's tracer and timing rescale: python3 -m pytest perfbench"""
 
 import sys
 from pathlib import Path
@@ -83,3 +83,22 @@ def test_unused_factor_rows_for_a_one_hot_input(traced):
     drawn = traced.counts["distributions.sample.entries"]
     assert drawn == 10 * 2 * 3 * 6
     assert traced.counts["distributions.sample.unused_entries"] == drawn // 2
+
+
+def test_rescale_cancels_machine_speed():
+    import run
+    from reference import REF_SECONDS
+
+    def process(speed):
+        # The same work on a machine running at ``speed`` times the reference.
+        return run.rescale({"setup_s": 0.2 / speed, "wall_s": 1.2 / speed, "rows": 600,
+                            "ref_s": [REF_SECONDS / speed] * 2,
+                            "self_s": {"maps.apply": 0.5 / speed}})
+
+    for speed in (0.7, 1.0, 1.45):
+        out = process(speed)
+        assert out["wall_s"] == pytest.approx(1.2)
+        assert out["setup_s"] == pytest.approx(0.2)
+        assert out["draws_per_s"] == pytest.approx(600.0)
+        assert out["self_s"] == {"maps.apply": pytest.approx(0.5)}
+        assert out["measured_wall_s"] == pytest.approx(1.2 / speed)

@@ -1,11 +1,11 @@
 """The benchmark's three ``trp-bench`` workloads and the checks on their CSVs.
 
 Each workload is one fixed set of ``trp-bench`` flags; the benchmark adds
-``--seed`` and ``--out``.  The reps are scaled so one process takes about
-4-5 s on a 2-core x86-64 box, about eight timed processes in a 35 s run.
-Processes this long average over the swings in machine speed that a
-shared box shows over tens of seconds.  README.md in this directory says
-why each workload was chosen.
+``--seed`` and ``--out``.  The reps are scaled so one run of ``trp-bench``
+takes 0.5-1 s on a 2-core x86-64 box, short beside the phases in which a
+shared box changes speed, so the reference loop timed around it (see
+reference.py) sees the same speed; a 35 s run holds 17-35 processes.
+README.md in this directory says why each workload was chosen.
 
 A check takes the parsed records and the seed and returns a list of
 problems; an empty list means the output is correct.
@@ -197,7 +197,7 @@ WORKLOADS = {
             name="mc-variance",
             flags=("--experiment", "variance", "--dims", "2x2x2", "--T", "5"),
             k_sweep=(10, 50),
-            reps=30000,
+            reps=3000,
             spans=COMMON_SPANS + ("stats.squared_norm_samples", "stats.contract"),
             check=check_variance,
         ),
@@ -205,7 +205,7 @@ WORKLOADS = {
             name="distance-sparse",
             flags=("--experiment", "distance", "--d", "2500", "--dist", "sparse"),
             k_sweep=(5, 10, 25, 50, 100),
-            reps=30,
+            reps=8,
             spans=COMMON_SPANS + ("data.gen_synthetic", "maps.build", "maps.apply",
                                   "stats.pairwise_distance"),
             check=check_distance,
@@ -215,7 +215,7 @@ WORKLOADS = {
             flags=("--experiment", "sketch", "--d", str(SKETCH_D), "--dims", "10x10x10",
                    "--dist", "very_sparse"),
             k_sweep=(5, 10, 15, 20, 25),
-            reps=9,
+            reps=2,
             spans=COMMON_SPANS + ("sketch.tucker_synthetic", "linalg.qr", "maps.build",
                                   "maps.apply", "sketch.low_rank_approx",
                                   "sketch.averaged", "sketch.relative_error"),
