@@ -35,7 +35,12 @@ from .sketch import (
     relative_error,
     tucker_synthetic,
 )
-from .stats import cosine_similarity_rmse, pairwise_distance_ratio, squared_norm_samples
+from .stats import (
+    cosine_similarity_rmse,
+    pair_distances,
+    pairwise_distance_ratio,
+    squared_norm_samples,
+)
 
 EXPERIMENTS = ("distance", "cosine", "variance", "sketch")
 DIST_KINDS = ("gaussian", "sparse", "very_sparse")
@@ -167,9 +172,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     map_root = base.child(1)
 
     points: np.ndarray | None = None
+    original: np.ndarray | None = None
     target: np.ndarray | None = None
     if cfg.experiment in ("distance", "cosine"):
         points = _load_points(cfg, data_seed)
+        if cfg.experiment == "distance":
+            original = pair_distances(points)
     elif cfg.experiment == "sketch":
         tensor = tucker_synthetic(cfg.d, 2, SKETCH_CORE_RANK, data_seed)
         target = tensor.reshape(cfg.d, cfg.d)
@@ -179,7 +187,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
         kind_seed = map_root.child(kind_idx)
         for k_idx, k in enumerate(cfg.k_sweep):
             cell_seed = kind_seed.child(k_idx)
-            records.extend(_run_cell(cfg, kind, k, cell_seed, points, target))
+            records.extend(_run_cell(cfg, kind, k, cell_seed, points, original, target))
     return records
 
 
@@ -205,6 +213,7 @@ def _run_cell(
     k: int,
     cell_seed: SeedSpec,
     points: np.ndarray | None,
+    original: np.ndarray | None,
     target: np.ndarray | None,
 ) -> list[ExperimentRecord]:
     reps = cfg.replications
@@ -229,7 +238,7 @@ def _run_cell(
             dims, T = _kind_layout(cfg, kind)
             factory = make_factory(kind, dims, k, _dist_for(cfg, kind), T, cell_seed)
         for rep in range(reps):
-            report = pairwise_distance_ratio(points, factory(rep))
+            report = pairwise_distance_ratio(points, factory(rep), original)
             out.append(
                 _record(
                     cfg, kind, k, rep, "avg_ratio", report.avg_ratio, report.std_ratio

@@ -6,11 +6,13 @@ vector ``x`` of length ``d = prod(d_i)`` as
 
     f(x) = (A_1 (.) A_2 (.) ... (.) A_N)^T x / sqrt(k)
 
-where ``(.)`` is the column-wise Khatri-Rao product.  The matrix is never
-formed: :meth:`TensorRandomProjection.apply` contracts the reshaped input one
-mode at a time, which costs ``O(k * d)`` scalar multiplies and peaks at
-``O(k * d / d_N)`` extra memory.  Storage drops from ``k * d`` for a dense
-map to ``k * sum(d_i)``.
+where ``(.)`` is the column-wise Khatri-Rao product.  The full ``d x k``
+matrix is never formed.  :meth:`TensorRandomProjection.apply` forms only the
+``(d / d_1) x k`` Khatri-Rao block ``A_2 (.) ... (.) A_N`` of the trailing
+factors, multiplies the batch of ``n`` inputs, reshaped to
+``(n, d_1, d / d_1)``, by it in one GEMM of ``n * d * k`` multiply-adds, and
+reduces the ``n x d_1 x k`` intermediate against ``A_1``.  Storage drops
+from ``k * d`` for a dense map to ``k * sum(d_i)``.
 
 ``TrpEnsemble`` averages T independent TRPs with a ``1/sqrt(T)`` scale so the
 map stays an expected isometry while the fourth-moment part of the squared
@@ -36,13 +38,33 @@ MAP_KINDS = ("rp", "trp", "trp_t")
 
 
 def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
+    """The one input check of every map: a real vector or an ``(n, d)`` batch."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError("input is complex; projections take real input")
+    x = x.astype(float, copy=False)
+    if x.ndim not in (1, 2):
+        raise ValueError(
+            f"map expects a vector or an (n, {d}) batch, got shape {x.shape}"
+        )
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ValueError(f"input has {x.shape[-1]} entries, map expects {d}")
+    if x.shape[1] != d:
+        raise ValueError(f"input has {x.shape[1]} entries, map expects {d}")
     return x, single
+
+
+def _contract(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Unscaled ``xs @ (A_1 (.) ... (.) A_N)`` for a batch ``xs`` of shape (n, d)."""
+    head = factors[0]
+    if len(factors) == 1:
+        return xs @ head
+    tail = factors[1]
+    for f in factors[2:]:
+        tail = khatri_rao(tail, f)
+    t = xs.reshape(xs.shape[0], head.shape[0], tail.shape[0]) @ tail
+    return np.einsum("nij,ij->nj", t, head)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,51 +103,26 @@ class TensorRandomProjection:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Project ``x`` (a vector of length d, or a batch of shape (n, d)).
 
-        When every factor is sparse-sign the contraction runs over the
-        nonzero support only: entries of ``x`` are added or subtracted
-        according to accumulated signs and a single scale
-        ``prod(1/sqrt(delta_i)) / sqrt(k)`` is applied at the end.
+        Costs one GEMM of ``n * d * k`` multiply-adds, plus forming the
+        ``(d / d_1) x k`` Khatri-Rao block of the trailing factors and an
+        ``n x d_1 x k`` intermediate (see the module docstring).  When every
+        factor is sparse-sign the same contraction runs on the sign pattern
+        of the factors and a single scale ``prod(1/sqrt(delta_i)) / sqrt(k)``
+        is applied at the end.
         """
         xs, single = _as_batch(x, self.d)
         if all(dist.kind == "sparse_sign" for dist in self.dists):
             y = self._apply_sparse(xs)
         else:
-            y = self._apply_dense(xs)
+            y = _contract(xs, self.factors) / math.sqrt(self.k)
         return y[0] if single else y
 
     __call__ = apply
 
-    def _apply_dense(self, xs: np.ndarray) -> np.ndarray:
-        n = xs.shape[0]
-        k = self.k
-        t = xs.reshape(n, -1, self.dims[-1]) @ self.factors[-1]
-        for f in self.factors[-2::-1]:
-            d_i = f.shape[0]
-            t = t.reshape(n, -1, d_i, k)
-            t = np.einsum("npij,ij->npj", t, f)
-        return t[:, 0, :] / math.sqrt(k)
-
     def _apply_sparse(self, xs: np.ndarray) -> np.ndarray:
-        n = xs.shape[0]
-        y = np.zeros((n, self.k))
-        for j in range(self.k):
-            lin = None
-            sgn = None
-            for f in self.factors:
-                idx = np.nonzero(f[:, j])[0]
-                s = np.sign(f[idx, j])
-                if lin is None:
-                    lin, sgn = idx, s
-                else:
-                    lin = (lin[:, None] * f.shape[0] + idx[None, :]).ravel()
-                    sgn = (sgn[:, None] * s[None, :]).ravel()
-            if lin is None or lin.size == 0:
-                continue
-            pos = xs[:, lin[sgn > 0]]
-            neg = xs[:, lin[sgn < 0]]
-            y[:, j] = pos.sum(axis=1) - neg.sum(axis=1)
+        signs = [np.sign(f) for f in self.factors]
         scale = math.prod(1.0 / math.sqrt(d.delta) for d in self.dists)
-        return y * (scale / math.sqrt(self.k))
+        return _contract(xs, signs) * (scale / math.sqrt(self.k))
 
     def materialize(self, cap: int = MATERIALIZE_CAP) -> np.ndarray:
         """Explicit ``d x k`` Khatri-Rao product of the factors, unscaled.

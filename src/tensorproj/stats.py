@@ -297,6 +297,10 @@ def squared_norm_samples(
     chunk scheduling (they do depend on the chunk size).
     """
     dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise ValueError(f"dims must be positive, got {dims}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     dists = per_factor(dist, len(dims))
     x = np.asarray(x, dtype=float).ravel()
     if x.size != math.prod(dims):
@@ -307,6 +311,8 @@ def squared_norm_samples(
         raise ValueError(f"T must be positive, got {T}")
     if chunk is None:
         chunk = _default_chunk(dims, k, T)
+    elif chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
     out = np.empty(trials)
     start = 0
     chunk_index = 0
@@ -340,34 +346,55 @@ def isometry_stats(
     return _stats_from_samples(w, float(x @ x))
 
 
-def pairwise_distance_ratio(points: np.ndarray, project: Projection) -> DistortionReport:
+def _as_points(points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 2:
+        raise ValueError("need a 2-D array with at least two point rows")
+    return pts
+
+
+def pair_distances(points: np.ndarray) -> np.ndarray:
+    """Distances between point rows i < j, in ``np.triu_indices`` order.
+
+    Computed one row at a time, so memory stays at one ``(n, d)`` difference
+    block; pass the result as ``original`` to :func:`pairwise_distance_ratio`
+    to reuse it across map draws.
+    """
+    pts = _as_points(points)
+    return np.concatenate(
+        [np.linalg.norm(pts[a + 1 :] - pts[a], axis=1) for a in range(len(pts) - 1)]
+    )
+
+
+def pairwise_distance_ratio(
+    points: np.ndarray, project: Projection, original: np.ndarray | None = None
+) -> DistortionReport:
     """Distance distortion ||f(x_i) - f(x_j)|| / ||x_i - x_j|| over point pairs.
 
     Averages over unordered pairs i < j, which equals the average over
     ordered pairs since the ratio is symmetric.  Exact duplicate points give
     an undefined ratio; such pairs are skipped and counted.  ``project`` must
-    accept a batch of row vectors.
+    accept a batch of row vectors.  ``original`` optionally holds
+    ``pair_distances(points)``, computed once for many maps.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("need a 2-D array with at least two point rows")
-    proj = np.asarray(project(pts), dtype=float)
-    n = pts.shape[0]
-    ratios = []
-    skipped = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = float(np.linalg.norm(pts[i] - pts[j]))
-            if den == 0.0:
-                skipped += 1
-                continue
-            num = float(np.linalg.norm(proj[i] - proj[j]))
-            ratios.append(num / den)
-    if not ratios:
+    pts = _as_points(points)
+    n_pairs = pts.shape[0] * (pts.shape[0] - 1) // 2
+    if original is None:
+        original = pair_distances(pts)
+    else:
+        original = np.asarray(original, dtype=float)
+        if original.shape != (n_pairs,):
+            raise ValueError(
+                f"original has shape {original.shape}, "
+                f"{pts.shape[0]} points need {n_pairs} pair distances"
+            )
+    projected = pair_distances(project(pts))
+    keep = original != 0.0
+    ratios = projected[keep] / original[keep]
+    if ratios.size == 0:
         raise ValueError("all point pairs are exact duplicates")
-    arr = np.asarray(ratios)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return DistortionReport(float(arr.mean()), std, arr, skipped)
+    std = float(ratios.std(ddof=1)) if ratios.size > 1 else 0.0
+    return DistortionReport(float(ratios.mean()), std, ratios, n_pairs - ratios.size)
 
 
 def _cosine_matrix(rows: np.ndarray) -> np.ndarray:
@@ -387,9 +414,7 @@ def cosine_similarity_rmse(
     the root-mean-square error over all point pairs; reported is the mean
     across replications with its standard error.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("need a 2-D array with at least two point rows")
+    pts = _as_points(points)
     if replications < 1:
         raise ValueError(f"replications must be positive, got {replications}")
     iu = np.triu_indices(pts.shape[0], k=1)

@@ -1,0 +1,46 @@
+"""Golden sha256 digests of the CLI CSV, one tiny config per experiment.
+
+A change to the kernels, the estimators or an RNG stream that moves any
+output byte fails here.  When such a change is intended, rerun the config,
+check the new values against the old ones (a kernel refactor should move
+them only at rounding level), and update the digest in the same change,
+saying why.  The digests were taken with numpy 2 and OpenBLAS on x86-64;
+another BLAS may round differently.
+"""
+
+import hashlib
+
+import pytest
+
+from tensorproj.cli import main
+
+GOLDEN = {
+    "distance-sparse-order3": (
+        ["--experiment", "distance", "--d", "24", "--dims", "2x3x4", "--dist", "sparse",
+         "--k", "3,6", "--n", "6", "--reps", "2", "--T", "2", "--seed", "3"],
+        "6b99313438c39965769f56d8bc76bfbb81f2093c9f43ddcc4db6e7b1c0536fd8",
+    ),
+    "cosine-gaussian-order2": (
+        ["--experiment", "cosine", "--d", "20", "--dims", "4x5",
+         "--k", "3,6", "--n", "6", "--reps", "2", "--T", "2", "--seed", "4"],
+        "fdf51ca7e3c08438cd7e5aee7c7e58f20b8b7b0f176d1c7ed900e6876bcef74f",
+    ),
+    "variance-sparse-order3": (
+        ["--experiment", "variance", "--d", "8", "--dims", "2x2x2", "--dist", "sparse",
+         "--k", "2,5", "--reps", "30", "--T", "3", "--seed", "5"],
+        "3209048f750e766796742b71faaa4a1a50d7db09f1817db9786017b9d7220027",
+    ),
+    "sketch-gaussian-order3": (
+        ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4",
+         "--k", "3,6", "--reps", "2", "--T", "2", "--seed", "6"],
+        "1a32ea14265e6d4437ddf204d7335c4f80bde1f7191390360f35687ed38dbca0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_cli_csv_matches_golden_digest(name, tmp_path):
+    argv, digest = GOLDEN[name]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

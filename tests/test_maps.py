@@ -49,15 +49,54 @@ def test_apply_matches_materialized_oracle(dims, k, dist):
         assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-30)
 
 
+KERNEL_DIMS = [(12,), (4, 5), (3, 4, 5), (2, 3, 4, 5)]
+KERNEL_DISTS = {
+    "gaussian": lambda dims: GAUSS,
+    "sparse": lambda dims: SPARSE,
+    "very_sparse": very_sparse_family,
+}
+
+
+def _assert_matches_oracle(trp, xs):
+    want = xs @ trp.materialize() / math.sqrt(trp.k)
+    got = trp.apply(xs)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dims", KERNEL_DIMS, ids=lambda d: "x".join(map(str, d)))
+@pytest.mark.parametrize("dist", KERNEL_DISTS.values(), ids=KERNEL_DISTS.keys())
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_kernel_matches_materialized_oracle(dims, dist, n):
+    trp = build_trp(dims, 6, dist(dims), SeedSpec(21).child(len(dims)))
+    _assert_matches_oracle(trp, np.random.default_rng(n).standard_normal((n, trp.d)))
+
+
+@pytest.mark.parametrize("dims", KERNEL_DIMS, ids=lambda d: "x".join(map(str, d)))
+@pytest.mark.parametrize("dist", KERNEL_DISTS.values(), ids=KERNEL_DISTS.keys())
+def test_kernel_with_an_all_zero_factor_column(dims, dist):
+    trp = build_trp(dims, 5, dist(dims), SeedSpec(22))
+    factors = [f.copy() for f in trp.factors]
+    factors[-1][:, 2] = 0.0
+    zeroed = TensorRandomProjection(tuple(factors), trp.dists)
+    xs = np.random.default_rng(3).standard_normal((7, trp.d))
+    _assert_matches_oracle(zeroed, xs)
+    assert_array_equal(zeroed.apply(xs)[:, 2], 0.0)
+
+
 def test_sparse_and_dense_paths_agree():
-    # The same factor values run through the sign-accumulation path when the
-    # distributions say sparse_sign, and through the contraction path when
+    # The same factor values run through the sign-pattern route when the
+    # distributions say sparse_sign, and through the plain contraction when
     # they do not; both must compute the same map.
-    dists = (SPARSE, EntryDistribution.sparse_sign(0.5))
-    trp = build_trp((6, 7), 4, dists, SeedSpec(3))
-    relabeled = TensorRandomProjection(trp.factors, (GAUSS, GAUSS))
-    xs = np.random.default_rng(8).standard_normal((9, 42))
-    assert_allclose(trp.apply(xs), relabeled.apply(xs), atol=1e-12)
+    cases = [
+        ((6, 7), (SPARSE, EntryDistribution.sparse_sign(0.5))),
+        ((5, 6, 7), very_sparse_family((5, 6, 7))),
+    ]
+    for dims, dists in cases:
+        trp = build_trp(dims, 4, dists, SeedSpec(3))
+        relabeled = TensorRandomProjection(trp.factors, (GAUSS,) * len(dims))
+        xs = np.random.default_rng(8).standard_normal((9, trp.d))
+        assert_allclose(trp.apply(xs), relabeled.apply(xs), atol=1e-12)
 
 
 def test_zero_input_gives_zero_output():
@@ -95,6 +134,37 @@ def test_apply_rejects_wrong_length():
         trp.apply(np.zeros(11))
     with pytest.raises(ValueError):
         trp.apply(np.zeros((2, 3, 4)))
+
+
+# Every map kind on d = 12, k = 3, behind the one input check.
+BOUNDARY_MAPS = {
+    "trp": lambda: build_trp((3, 4), 3, GAUSS, SeedSpec(30)),
+    "trp-sparse": lambda: build_trp((3, 4), 3, SPARSE, SeedSpec(30)),
+    "ensemble": lambda: build_ensemble((3, 4), 3, GAUSS, 2, SeedSpec(31)),
+    "rp": lambda: build_conventional(12, 3, GAUSS, SeedSpec(32)),
+}
+
+
+@pytest.mark.parametrize("make", BOUNDARY_MAPS.values(), ids=BOUNDARY_MAPS.keys())
+def test_three_dimensional_input_names_its_shape(make):
+    want = r"vector or an \(n, 12\) batch, got shape \(2, 3, 4\)"
+    with pytest.raises(ValueError, match=want):
+        make().apply(np.zeros((2, 3, 4)))
+
+
+@pytest.mark.parametrize("make", BOUNDARY_MAPS.values(), ids=BOUNDARY_MAPS.keys())
+def test_empty_batch_gives_empty_output(make):
+    y = make().apply(np.zeros((0, 12)))
+    assert y.shape == (0, 3)
+
+
+@pytest.mark.parametrize("make", BOUNDARY_MAPS.values(), ids=BOUNDARY_MAPS.keys())
+def test_complex_input_is_rejected(make):
+    x = np.ones(12) + 1j * np.arange(12)
+    with pytest.raises(ValueError, match="complex"):
+        make().apply(x)
+    with pytest.raises(ValueError, match="complex"):
+        make().apply(np.ones((2, 12), dtype=complex))
 
 
 # ------------------------------------------------------------------ ensemble

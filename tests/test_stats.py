@@ -17,6 +17,7 @@ from tensorproj.stats import (
     empirical_isometry,
     exact_variance,
     isometry_stats,
+    pair_distances,
     pairwise_distance_ratio,
     polarization_check,
     squared_norm_samples,
@@ -338,6 +339,16 @@ def test_squared_norm_samples_validation():
         squared_norm_samples((4, 2), 3, GAUSS, np.ones(8), 10, SeedSpec(0), T=0)
 
 
+def test_squared_norm_samples_rejects_zero_chunk_k_and_dims():
+    # chunk=0 used to loop forever and k=0 to return NaN with a warning.
+    with pytest.raises(ValueError, match="chunk must be positive, got 0"):
+        squared_norm_samples((4, 2), 3, GAUSS, np.ones(8), 10, SeedSpec(0), chunk=0)
+    with pytest.raises(ValueError, match="k must be positive, got 0"):
+        squared_norm_samples((4, 2), 0, GAUSS, np.ones(8), 10, SeedSpec(0))
+    with pytest.raises(ValueError, match="dims must be positive"):
+        squared_norm_samples((4, 0), 3, GAUSS, np.ones(0), 10, SeedSpec(0))
+
+
 def test_vectorized_sampler_mean_and_variance():
     e1 = np.zeros(8)
     e1[0] = 1.0
@@ -412,6 +423,52 @@ def test_distance_ratio_shape_validation():
         pairwise_distance_ratio(np.ones(4), lambda p: p)
     with pytest.raises(ValueError, match="two point rows"):
         pairwise_distance_ratio(np.ones((1, 4)), lambda p: p)
+
+
+def test_pair_distances_match_a_per_pair_loop():
+    pts = np.random.default_rng(10).standard_normal((9, 13))
+    want = [
+        np.linalg.norm(pts[i] - pts[j]) for i in range(9) for j in range(i + 1, 9)
+    ]
+    assert_allclose(pair_distances(pts), want, rtol=1e-12, atol=0.0)
+    i, j = np.triu_indices(9, k=1)
+    assert_allclose(pair_distances(pts), np.linalg.norm(pts[i] - pts[j], axis=1),
+                    rtol=1e-12, atol=0.0)
+
+
+def test_pair_distances_validation():
+    with pytest.raises(ValueError, match="2-D"):
+        pair_distances(np.ones(4))
+    with pytest.raises(ValueError, match="two point rows"):
+        pair_distances(np.ones((1, 4)))
+
+
+def test_distance_ratio_with_precomputed_original_is_identical():
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((8, 6))
+    q = rng.standard_normal((6, 3))
+    fresh = pairwise_distance_ratio(pts, lambda p: p @ q)
+    reused = pairwise_distance_ratio(pts, lambda p: p @ q, pair_distances(pts))
+    assert reused.avg_ratio == fresh.avg_ratio
+    assert reused.std_ratio == fresh.std_ratio
+    assert reused.skipped_pairs == fresh.skipped_pairs
+    assert np.array_equal(reused.ratios, fresh.ratios)
+
+
+def test_distance_ratio_rejects_original_of_wrong_length():
+    pts = np.random.default_rng(12).standard_normal((5, 3))
+    with pytest.raises(ValueError, match="5 points need 10 pair distances"):
+        pairwise_distance_ratio(pts, lambda p: p, np.ones(9))
+    with pytest.raises(ValueError, match="need 10 pair distances"):
+        pairwise_distance_ratio(pts, lambda p: p, np.ones((2, 5)))
+
+
+def test_distance_ratio_counts_duplicates_with_precomputed_original():
+    pts = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
+    report = pairwise_distance_ratio(pts, lambda p: 2.0 * p, pair_distances(pts))
+    assert report.skipped_pairs == 2
+    assert report.ratios.shape == (4,)
+    assert report.avg_ratio == 2.0
 
 
 def test_distance_ratio_scales_linearly():
