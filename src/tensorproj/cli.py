@@ -8,6 +8,7 @@ writes a byte-identical CSV.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -22,6 +23,7 @@ from .experiments import (
     run_experiment,
     write_csv,
 )
+from .stats import MomentAccumulator
 
 DEFAULT_K_SWEEP = (5, 10, 25, 50, 100)
 DEFAULT_MAPS = "rp,trp,trp_t"
@@ -89,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_dims(
     d: int | None, dims: tuple[int, ...] | None, map_kinds: tuple[str, ...]
 ) -> tuple[int, ...]:
-    import math
-
     if dims is not None:
         if d is not None and math.prod(dims) != d:
             raise ConfigError(f"dims {dims} multiply to {math.prod(dims)}, not d={d}")
@@ -135,14 +135,17 @@ def _print_summary(records: list[ExperimentRecord]) -> None:
     for r in records:
         cells.setdefault((r.map_kind, r.k), []).append(r.value)
     for (kind, k), values in sorted(cells.items()):
-        n = len(values)
-        mean = sum(values) / n
-        if n > 1:
-            var = sum((v - mean) ** 2 for v in values) / (n - 1)
-            se = (var / n) ** 0.5
-            print(f"{kind:8s} k={k:<4d} mean={mean:.6g} se={se:.3g} ({n} reps)")
+        # A cosine draw whose map leaves no point pair records nan.
+        acc = MomentAccumulator()
+        acc.add([v for v in values if not math.isnan(v)])
+        empty = len(values) - acc.count
+        reps = f" ({acc.count} reps" + (f", {empty} with no pair)" if empty else ")")
+        if acc.count > 1:
+            se = math.sqrt(acc.variance() / acc.count)
+            print(f"{kind:8s} k={k:<4d} mean={acc.mean:.6g} se={se:.3g}{reps}")
         else:
-            print(f"{kind:8s} k={k:<4d} value={mean:.6g}")
+            value = acc.mean if acc.count else math.nan
+            print(f"{kind:8s} k={k:<4d} value={value:.6g}{reps if empty else ''}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -62,10 +62,6 @@ class EntryDistribution:
         return 1.0 / self.delta
 
 
-def fourth_moment(dist: EntryDistribution) -> float:
-    return dist.fourth_moment()
-
-
 def very_sparse_delta(dim: int) -> float:
     """Nonzero probability 1/sqrt(dim) used by very sparse projections."""
     if dim < 1:
@@ -95,11 +91,6 @@ class SeedSpec:
         """A fresh generator for this stream; equal specs give equal streams."""
         seq = np.random.SeedSequence(self.base_seed, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(seq))
-
-
-def derive_seed(seed: SeedSpec, index: int) -> SeedSpec:
-    """Child seed with ``index`` appended to the stream path."""
-    return seed.child(index)
 
 
 def _sample_array(

@@ -20,6 +20,7 @@ for doubles), rows sorted by (experiment, map, k, rep).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -280,29 +281,30 @@ def _format_value(value: float | None) -> str:
 
 
 def write_csv(records: Sequence[ExperimentRecord], path: str) -> None:
-    """Write records sorted by (experiment, map, k, rep); lossless floats."""
+    """Write records sorted by (experiment, map, k, rep); lossless floats.
+
+    The rows go to a temporary file next to ``path`` that then replaces it,
+    so a failed write leaves an existing file as it was.  A symlink at
+    ``path`` is followed.  The directory must be writable, and the new file
+    gets the process's default permissions, not the old file's.
+    """
     rows = sorted(records, key=lambda r: (r.experiment, r.map_kind, r.k, r.rep))
-    with open(path, "w", newline="") as f:
-        f.write(CSV_HEADER + "\n")
-        for r in rows:
-            f.write(
-                ",".join(
-                    (
-                        r.experiment,
-                        r.map_kind,
-                        r.dist_kind,
-                        str(r.d),
-                        "x".join(str(d) for d in r.dims),
-                        str(r.k),
-                        str(r.T),
-                        str(r.rep),
-                        r.metric,
-                        _format_value(r.value),
-                        _format_value(r.std_error),
-                    )
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as f:
+            f.write(CSV_HEADER + "\n")
+            for r in rows:
+                dims = "x".join(str(d) for d in r.dims)
+                f.write(
+                    f"{r.experiment},{r.map_kind},{r.dist_kind},{r.d},{dims},"
+                    f"{r.k},{r.T},{r.rep},{r.metric},{_format_value(r.value)},"
+                    f"{_format_value(r.std_error)}\n"
                 )
-                + "\n"
-            )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_csv(path: str) -> list[ExperimentRecord]:

@@ -32,17 +32,19 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     For ``a`` of shape ``(I, K)`` and ``b`` of shape ``(J, K)`` the result has
     shape ``(I*J, K)`` and entries ``out[(i-1)*J + (j-1), c] = a[i-1, c] * b[j-1, c]``
     (1-based row indices), i.e. column ``c`` is ``kron(a[:, c], b[:, c])``.
+    Leading axes broadcast: stacks ``(..., I, K)`` and ``(..., J, K)`` give
+    ``(..., I*J, K)``, one product per leading index.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("khatri_rao expects two matrices")
-    if a.shape[1] != b.shape[1]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError("khatri_rao expects two matrices or stacks of matrices")
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(
-            f"column count mismatch: {a.shape[1]} != {b.shape[1]}"
+            f"column count mismatch: {a.shape[-1]} != {b.shape[-1]}"
         )
-    out = a[:, None, :] * b[None, :, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1])
+    out = a[..., :, None, :] * b[..., None, :, :]
+    return out.reshape(out.shape[:-3] + (a.shape[-2] * b.shape[-2], a.shape[-1]))
 
 
 def kron_vec(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -124,8 +126,3 @@ def qr_factor(mat: np.ndarray, rank_tol: float = RANK_TOL) -> QrFactor:
     else:
         rank = int(np.count_nonzero(np.abs(np.diag(r)) >= rank_tol * scale))
     return QrFactor(q, r, rank)
-
-
-def qr_orthonormal(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column space of ``mat`` (the Q of reduced QR)."""
-    return qr_factor(mat).q

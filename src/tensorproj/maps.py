@@ -11,8 +11,9 @@ matrix is never formed.  :meth:`TensorRandomProjection.apply` forms only the
 ``(d / d_1) x k`` Khatri-Rao block ``A_2 (.) ... (.) A_N`` of the trailing
 factors, multiplies the batch of ``n`` inputs, reshaped to
 ``(n, d_1, d / d_1)``, by it in one GEMM of ``n * d * k`` multiply-adds, and
-reduces the ``n x d_1 x k`` intermediate against ``A_1``.  Storage drops
-from ``k * d`` for a dense map to ``k * sum(d_i)``.
+reduces the ``n x d_1 x k`` intermediate against ``A_1``; the Monte-Carlo
+sampler in :mod:`tensorproj.stats` runs the same kernel on a stack of maps.
+Storage drops from ``k * d`` for a dense map to ``k * sum(d_i)``.
 
 ``TrpEnsemble`` averages T independent TRPs with a ``1/sqrt(T)`` scale so the
 map stays an expected isometry while the fourth-moment part of the squared
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +37,26 @@ from .linalg import khatri_rao
 MATERIALIZE_CAP = 10_000_000
 
 MAP_KINDS = ("rp", "trp", "trp_t")
+
+
+def _check_shape(dims: Sequence[int], k: int, T: int = 1) -> tuple[int, ...]:
+    """The one positivity check of every builder and sampler; returns ``dims``."""
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise ValueError(f"dims must be positive, got {dims}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if T < 1:
+        raise ValueError(f"T must be positive, got {T}")
+    return dims
+
+
+def _check_input(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """``x`` as a flat float vector, which must hold ``prod(dims)`` entries."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != math.prod(dims):
+        raise ValueError(f"x has {x.size} entries, dims {dims} need {math.prod(dims)}")
+    return x
 
 
 def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
@@ -56,15 +78,18 @@ def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
 
 
 def _contract(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Unscaled ``xs @ (A_1 (.) ... (.) A_N)`` for a batch ``xs`` of shape (n, d)."""
+    """Unscaled ``xs @ (A_1 (.) ... (.) A_N)`` for a batch ``xs`` of shape (n, d).
+
+    Factors of shape ``(d_i, k)`` give ``(n, k)``.  Factors of shape
+    ``(m, d_i, k)`` hold m maps and give ``(m, n, k)``, map by map.
+    """
     head = factors[0]
     if len(factors) == 1:
         return xs @ head
-    tail = factors[1]
-    for f in factors[2:]:
-        tail = khatri_rao(tail, f)
-    t = xs.reshape(xs.shape[0], head.shape[0], tail.shape[0]) @ tail
-    return np.einsum("nij,ij->nj", t, head)
+    tail = reduce(khatri_rao, factors[1:])
+    t = xs.reshape(xs.shape[0], head.shape[-2], tail.shape[-2]) @ tail[..., None, :, :]
+    del tail  # free the (m, d / d_1, k) block before the reduction allocates
+    return np.einsum("...nij,...ij->...nj", t, head)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +160,7 @@ class TensorRandomProjection:
                 f"materializing {self.d} x {self.k} exceeds cap={cap}; "
                 "raise cap explicitly if this is intentional"
             )
-        out = self.factors[0]
-        for f in self.factors[1:]:
-            out = khatri_rao(out, f)
-        return out
+        return reduce(khatri_rao, self.factors)
 
     def storage_count(self) -> int:
         """Stored scalars: k * sum(d_i)."""
@@ -236,11 +258,7 @@ def build_trp(
     seed: SeedSpec,
 ) -> TensorRandomProjection:
     """Sample a TRP; factor ``i`` draws from the seed's child stream ``i``."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"dims must be positive, got {dims}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    dims = _check_shape(dims, k)
     dists = per_factor(dist, len(dims))
     factors = tuple(
         sample_matrix(dists[i], dims[i], k, seed.child(i))
@@ -260,8 +278,7 @@ def build_ensemble(
 
     Replicates never share factors.
     """
-    if T < 1:
-        raise ValueError(f"T must be positive, got {T}")
+    dims = _check_shape(dims, k, T)
     reps = tuple(build_trp(dims, k, dist, seed.child(t)) for t in range(T))
     return TrpEnsemble(reps)
 
@@ -269,8 +286,7 @@ def build_ensemble(
 def build_conventional(
     d: int, k: int, dist: EntryDistribution, seed: SeedSpec
 ) -> ConventionalRp:
-    if d < 1 or k < 1:
-        raise ValueError(f"shape must be positive, got {d} x {k}")
+    _check_shape((d,), k)
     return ConventionalRp(sample_matrix(dist, d, k, seed), dist)
 
 

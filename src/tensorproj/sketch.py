@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import EntryDistribution, SeedSpec
 from .linalg import qr_factor
-from .maps import build_trp
+from .maps import _check_shape, build_trp
 from .stats import Projection
 
 NOISE_ENERGY_FRACTION = 0.01
@@ -43,10 +43,7 @@ class SketchConfig:
     seed: SeedSpec
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.T < 1:
-            raise ValueError(f"T must be positive, got {self.T}")
+        _check_shape(self.dims, self.k, self.T)
 
 
 def low_rank_approx(x: np.ndarray, omega: Projection) -> np.ndarray:

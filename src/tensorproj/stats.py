@@ -33,7 +33,9 @@ such as Rademacher signs (m = 1) can put the exact variance below it.
 
 ``squared_norm_samples`` is a vectorized sampler that draws the same law as
 building maps one by one but batches the factor draws, which is what makes
-million-trial grids affordable.
+million-trial grids affordable.  It contracts a whole chunk of drawn maps
+with the maps' own Khatri-Rao kernel (``maps._contract``), batched over the
+draws instead of over inputs.
 
 Estimator accumulation uses pairwise moment merging (Chan et al.), so chunked
 or parallel reductions give the same stable results.
@@ -49,6 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import EntryDistribution, SeedSpec, _sample_array, per_factor
+from .maps import _check_input, _check_shape, _contract
 
 Projection = Callable[[np.ndarray], np.ndarray]
 MapFactory = Callable[[int], Projection]
@@ -113,13 +116,10 @@ class CosineRmse:
     mean_rmse: float
     std_error: float
     per_rep: np.ndarray
+    skipped_pairs: int
 
 
-def _check_moments(fourth_moments: Sequence[float], k: int, T: int) -> list[float]:
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if T < 1:
-        raise ValueError(f"T must be positive, got {T}")
+def _check_moments(fourth_moments: Sequence[float]) -> list[float]:
     moments = [float(m) for m in fourth_moments]
     if not moments:
         raise ValueError("need at least one factor fourth moment")
@@ -144,8 +144,9 @@ def theoretical_variance(
     """
     if np.isscalar(fourth_moments):
         fourth_moments = [fourth_moments]
-    moments = _check_moments(fourth_moments, k, T)
+    moments = _check_moments(fourth_moments)
     x = np.asarray(x, dtype=float).ravel()
+    _check_shape((x.size,), k, T)
     norm4_4 = float(np.sum(x**4))
     norm2_4 = float(np.sum(x**2)) ** 2
     return (math.prod(moments) - 3.0) / (T * k) * norm4_4 + 2.0 / k * norm2_4
@@ -186,17 +187,13 @@ def exact_variance(
     for one factor and for x on one coordinate axis; with every fourth
     moment at least 3 it is at least as large otherwise.
     """
-    dims = tuple(int(d) for d in dims)
     if np.isscalar(fourth_moments):
         fourth_moments = [fourth_moments] * len(dims)
-    moments = _check_moments(fourth_moments, k, T)
+    moments = _check_moments(fourth_moments)
     if len(moments) != len(dims):
         raise ValueError(f"got {len(moments)} fourth moments for {len(dims)} factors")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"dims must be positive, got {dims}")
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != math.prod(dims):
-        raise ValueError(f"x has {x.size} entries, dims {dims} need {math.prod(dims)}")
+    dims = _check_shape(dims, k, T)
+    x = _check_input(x, dims)
     xt = x.reshape(dims)
     weights: dict[tuple, float] = {}
     for choice in product(range(4), repeat=len(dims)):
@@ -258,20 +255,19 @@ def empirical_isometry(
 
 
 def _contract_all(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Unscaled contractions z[m, j] = sum_r prod_n F_n[m, r_n, j] * x[r].
+    """Unscaled ``z[m] = x @ (F_1[m] (.) ... (.) F_N[m])`` for factors ``(m, d_n, k)``.
 
-    ``factors[n]`` has shape ``(m, d_n, k)``: one factor matrix per draw m.
-    Matches applying each materialized Khatri-Rao map to x, without the
-    1/sqrt(k) scale.
+    Kept apart so that ``perfbench/tracing.py`` times it as ``stats.contract``.
+    The kernel allocates ``(m, d_h, k)`` for head mode ``h`` and, at order
+    >= 3, the ``(m, d / d_h, k)`` tail block.  The first mode that needs the
+    fewest entries goes to the head; at order >= 3 that is a largest mode, so
+    the tail fits the ``(m, d / d_N, k)`` block :func:`_default_chunk` allows.
     """
-    d_last = factors[-1].shape[1]
-    t = np.einsum("pq,mqj->mpj", x.reshape(-1, d_last), factors[-1])
-    for f in factors[-2::-1]:
-        d_i = f.shape[1]
-        m, p, k = t.shape
-        t = t.reshape(m, p // d_i, d_i, k)
-        t = np.einsum("mpij,mij->mpj", t, f)
-    return t[:, 0, :]
+    dims = [f.shape[1] for f in factors]
+    d = math.prod(dims) if len(dims) > 2 else 0  # an order-2 tail is a factor
+    h = min(range(len(dims)), key=lambda i: dims[i] + d // dims[i])
+    x = np.moveaxis(x.reshape(dims), h, 0).reshape(1, -1)
+    return _contract(x, [factors[h], *factors[:h], *factors[h + 1 :]])[:, 0, :]
 
 
 def _default_chunk(dims: Sequence[int], k: int, T: int) -> int:
@@ -296,19 +292,11 @@ def squared_norm_samples(
     Chunk c consumes the seed's child stream c, so results do not depend on
     chunk scheduling (they do depend on the chunk size).
     """
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"dims must be positive, got {dims}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    dims = _check_shape(dims, k, T)
     dists = per_factor(dist, len(dims))
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != math.prod(dims):
-        raise ValueError(f"x has {x.size} entries, dims {dims} need {math.prod(dims)}")
+    x = _check_input(x, dims)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if T < 1:
-        raise ValueError(f"T must be positive, got {T}")
     if chunk is None:
         chunk = _default_chunk(dims, k, T)
     elif chunk < 1:
@@ -397,12 +385,12 @@ def pairwise_distance_ratio(
     return DistortionReport(float(ratios.mean()), std, ratios, n_pairs - ratios.size)
 
 
-def _cosine_matrix(rows: np.ndarray) -> np.ndarray:
+def _pair_cosines(rows: np.ndarray, iu: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines of the row pairs ``iu``, and which pairs have two nonzero rows."""
     norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("cosine similarity undefined for zero-norm points")
-    unit = rows / norms[:, None]
-    return unit @ unit.T
+    nonzero = norms != 0.0
+    unit = rows / np.where(nonzero, norms, 1.0)[:, None]
+    return (unit @ unit.T)[iu], (nonzero[:, None] & nonzero[None, :])[iu]
 
 
 def cosine_similarity_rmse(
@@ -412,23 +400,33 @@ def cosine_similarity_rmse(
 
     Each replication draws a fresh map via ``map_factory(rep)`` and computes
     the root-mean-square error over all point pairs; reported is the mean
-    across replications with its standard error.
+    across replications with its standard error.  A zero-norm input point
+    is an error.  A pair with a point the map sends to zero has no projected
+    cosine; such pairs are skipped and counted over all replications.  A
+    draw that leaves no pair (a sparse map can be the zero map) has no RMSE:
+    its ``per_rep`` entry is NaN, and the mean and standard error are taken
+    over the other draws (NaN if there are none).
     """
     pts = _as_points(points)
     if replications < 1:
         raise ValueError(f"replications must be positive, got {replications}")
     iu = np.triu_indices(pts.shape[0], k=1)
-    true_cos = _cosine_matrix(pts)[iu]
+    true_cos, defined = _pair_cosines(pts, iu)
+    if not defined.all():
+        raise ValueError("cosine similarity undefined for zero-norm points")
     per_rep = np.empty(replications)
+    skipped = 0
     for rep in range(replications):
         proj = np.asarray(map_factory(rep)(pts), dtype=float)
-        est_cos = _cosine_matrix(proj)[iu]
-        per_rep[rep] = math.sqrt(float(np.mean((est_cos - true_cos) ** 2)))
-    if replications > 1:
-        se = float(per_rep.std(ddof=1)) / math.sqrt(replications)
-    else:
-        se = 0.0
-    return CosineRmse(float(per_rep.mean()), se, per_rep)
+        est_cos, keep = _pair_cosines(proj, iu)
+        skipped += keep.size - int(keep.sum())
+        err = est_cos[keep] - true_cos[keep]
+        per_rep[rep] = math.sqrt(float(np.mean(err**2))) if err.size else math.nan
+    rated = per_rep[~np.isnan(per_rep)]
+    if rated.size == 0:
+        return CosineRmse(math.nan, math.nan, per_rep, skipped)
+    se = float(rated.std(ddof=1)) / math.sqrt(rated.size) if rated.size > 1 else 0.0
+    return CosineRmse(float(rated.mean()), se, per_rep, skipped)
 
 
 def tail_exceedance(

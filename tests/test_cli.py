@@ -168,6 +168,34 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_cosine_run_survives_maps_that_send_points_to_zero(tmp_path, capsys):
+    # At k=2 a sparse order-4 TRP is often the zero map: a factor column with
+    # no nonzero entry zeroes its Khatri-Rao column.  The run must still
+    # finish: pairs touching a zero image are skipped, and a draw left with
+    # none records nan.
+    out = tmp_path / "cos.csv"
+    args = ["--experiment", "cosine", "--dist", "sparse", "--d", "144", "--dims",
+            "3x4x3x4", "--k", "2,5,9", "--reps", "3", "--seed", "5", "--n", "9"]
+    assert main(args + ["--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 27
+    values = {(r[1], int(r[5])): [] for r in rows}
+    for r in rows:
+        values[(r[1], int(r[5]))].append(float(r[9]))
+    assert np.isnan(values[("trp", 2)]).all()
+    for kind in ("rp", "trp_t"):
+        for k in (2, 5, 9):
+            assert np.isfinite(values[(kind, k)]).all()
+    # The summary averages the draws that have an RMSE and counts the others.
+    trp5 = np.array(values[("trp", 5)])
+    assert np.isnan(trp5).sum() == 1
+    summary = capsys.readouterr().out
+    assert "trp      k=2    value=nan (0 reps, 3 with no pair)" in summary
+    mean = f"{np.nanmean(trp5):.6g}"
+    assert f"trp      k=5    mean={mean} se=" in summary
+    assert "(2 reps, 1 with no pair)" in summary
+
+
 def test_identity_map_allowed_for_distance(tmp_path):
     out = tmp_path / "id.csv"
     args = SMALL + ["--map", "identity", "--out", str(out)]

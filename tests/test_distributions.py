@@ -9,8 +9,6 @@ from numpy.testing import assert_array_equal
 from tensorproj.distributions import (
     EntryDistribution,
     SeedSpec,
-    derive_seed,
-    fourth_moment,
     per_factor,
     sample_matrix,
     very_sparse_delta,
@@ -38,9 +36,9 @@ def test_delta_outside_unit_interval_rejected(delta):
 
 
 def test_fourth_moments():
-    assert fourth_moment(EntryDistribution.gaussian()) == 3.0
-    assert fourth_moment(EntryDistribution.sparse_sign(1 / 3)) == pytest.approx(3.0)
-    assert fourth_moment(EntryDistribution.sparse_sign(0.01)) == pytest.approx(100.0)
+    assert EntryDistribution.gaussian().fourth_moment() == 3.0
+    assert EntryDistribution.sparse_sign(1 / 3).fourth_moment() == pytest.approx(3.0)
+    assert EntryDistribution.sparse_sign(0.01).fourth_moment() == pytest.approx(100.0)
 
 
 def test_very_sparse_delta_values():
@@ -128,7 +126,7 @@ def test_child_appends_to_path():
     seed = SeedSpec(9).child(2).child(0)
     assert seed.base_seed == 9
     assert seed.path == (2, 0)
-    assert derive_seed(SeedSpec(9).child(2), 0) == seed
+    assert SeedSpec(9, (2, 0)) == seed
 
 
 def test_sibling_streams_differ():

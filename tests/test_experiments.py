@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,34 @@ def test_empty_record_list_gives_header_only(tmp_path):
     write_csv([], path)
     assert open(path).read() == CSV_HEADER + "\n"
     assert read_csv(path) == []
+
+
+def test_failed_write_leaves_the_existing_file_untouched(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("earlier results\n")
+    good = ExperimentRecord("distance", "trp", "gaussian", 4, (4,), 2, 1, 0, "avg_ratio", 1.0)
+    # The second row fails to format after the first has been written.
+    bad = dataclasses.replace(good, rep=1, value="not a number")
+    with pytest.raises(ValueError):
+        write_csv([good, bad], str(path))
+    assert path.read_text() == "earlier results\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+    write_csv([good], str(path))
+    assert read_csv(str(path)) == [good]
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_write_through_a_symlink_keeps_the_link(tmp_path):
+    target = tmp_path / "data" / "out.csv"
+    target.parent.mkdir()
+    target.write_text("earlier results\n")
+    link = tmp_path / "latest.csv"
+    link.symlink_to(target)
+    good = ExperimentRecord("distance", "trp", "gaussian", 4, (4,), 2, 1, 0, "avg_ratio", 1.0)
+    write_csv([good], str(link))
+    assert link.is_symlink()
+    assert read_csv(str(target)) == [good]
+    assert sorted(os.listdir(target.parent)) == ["out.csv"]
 
 
 def test_read_csv_rejects_foreign_files(tmp_path):

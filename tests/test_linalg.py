@@ -13,7 +13,6 @@ from tensorproj.linalg import (
     mode_n_unfold,
     multi_index_to_linear,
     qr_factor,
-    qr_orthonormal,
 )
 
 small_dims = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4)
@@ -70,6 +69,16 @@ def test_khatri_rao_columns_are_kron(i, j, k, seed):
     assert out.shape == (i * j, k)
     for c in range(k):
         assert_array_equal(out[:, c], kron_vec([a[:, c], b[:, c]]))
+    # Stacks of matrices: one product per leading index, and a single
+    # matrix broadcasts against a stack.
+    sa = rng.standard_normal((2, 3, i, k))
+    sb = rng.standard_normal((3, j, k))
+    stacked = khatri_rao(sa, sb)
+    assert stacked.shape == (2, 3, i * j, k)
+    for p in range(2):
+        for q in range(3):
+            assert_array_equal(stacked[p, q], khatri_rao(sa[p, q], sb[q]))
+    assert_array_equal(khatri_rao(sb, b), [khatri_rao(m, b) for m in sb])
 
 
 @given(
@@ -245,7 +254,7 @@ def test_qr_orthonormal_and_reconstructs(m, k, seed):
 
 def test_qr_already_orthonormal_input():
     q0 = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 3)))[0]
-    q = qr_orthonormal(q0)
+    q = qr_factor(q0).q
     assert np.max(np.abs(q.T @ q - np.eye(3))) <= 1e-12
     # Same span: projecting q0 onto range(q) changes nothing.
     assert_allclose(q @ (q.T @ q0), q0, atol=1e-12)

@@ -16,6 +16,8 @@ from tensorproj.maps import (
     build_trp,
     make_factory,
 )
+from tensorproj.sketch import SketchConfig
+from tensorproj.stats import exact_variance, squared_norm_samples, theoretical_variance
 
 GAUSS = EntryDistribution.gaussian()
 SPARSE = EntryDistribution.sparse_sign(1 / 3)
@@ -308,6 +310,51 @@ def test_build_trp_validation():
         build_trp((3, 0), 2, GAUSS, SeedSpec(0))
     with pytest.raises(ValueError, match="k"):
         build_trp((3, 3), 0, GAUSS, SeedSpec(0))
+
+
+# Every builder and sampler runs the one shape check, so each rejects a zero
+# dim, k=0 and T=0 (where it takes dims or T) with the same message.
+SHAPE_CHECKED = {
+    "build_trp": ("dims", "k"),
+    "build_ensemble": ("dims", "k", "T"),
+    "build_conventional": ("dims", "k"),
+    "squared_norm_samples": ("dims", "k", "T"),
+    "exact_variance": ("dims", "k", "T"),
+    "theoretical_variance": ("k", "T"),
+    "SketchConfig": ("dims", "k", "T"),
+}
+BAD_SHAPES = {
+    "dims": (((0,), 2, 1), "dims must be positive, got (0,)"),
+    "k": (((2, 3), 0, 1), "k must be positive, got 0"),
+    "T": (((2, 3), 2, 0), "T must be positive, got 0"),
+}
+
+
+def _call_shape_checked(name, dims, k, T):
+    x = np.ones(math.prod(dims))
+    calls = {
+        "build_trp": lambda: build_trp(dims, k, GAUSS, SeedSpec(0)),
+        "build_ensemble": lambda: build_ensemble(dims, k, GAUSS, T, SeedSpec(0)),
+        "build_conventional": lambda: build_conventional(x.size, k, GAUSS, SeedSpec(0)),
+        "squared_norm_samples": lambda: squared_norm_samples(
+            dims, k, GAUSS, x, 4, SeedSpec(0), T=T
+        ),
+        "exact_variance": lambda: exact_variance(x, dims, 3.0, k, T),
+        "theoretical_variance": lambda: theoretical_variance(x, 3.0, k, T),
+        "SketchConfig": lambda: SketchConfig(dims, k, T, GAUSS, SeedSpec(0)),
+    }
+    calls[name]()
+
+
+@pytest.mark.parametrize(
+    "name,bad",
+    [(name, bad) for name, checks in SHAPE_CHECKED.items() for bad in checks],
+)
+def test_one_shape_check_for_every_builder_and_sampler(name, bad):
+    (dims, k, T), message = BAD_SHAPES[bad]
+    with pytest.raises(ValueError) as err:
+        _call_shape_checked(name, dims, k, T)
+    assert str(err.value) == message
 
 
 def test_conventional_rp_applies_scaled_matrix():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import hypothesis.strategies as st
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from tensorproj.distributions import EntryDistribution, SeedSpec
-from tensorproj.linalg import qr_orthonormal
-from tensorproj.maps import TensorRandomProjection, build_trp, make_factory
+from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
+from tensorproj.linalg import qr_factor
+from tensorproj.maps import build_trp, make_factory
 from tensorproj.stats import (
     MomentAccumulator,
     _contract_all,
@@ -299,18 +300,47 @@ def test_merge_equals_single_pass(entries, cut):
 # ----------------------------------------------------------------- samplers
 
 
-def test_contract_kernel_matches_materialized_maps():
-    rng = np.random.default_rng(9)
-    dims, k, m = (3, 4), 2, 5
-    factors = [rng.standard_normal((m, d, k)) for d in dims]
-    x = rng.standard_normal(12)
+# (4, 3), (2, 3, 4) and (2, 3, 2, 3) move a later mode to the kernel's head.
+CONTRACT_DIMS = [(12,), (3, 4), (4, 3), (2, 3, 4), (2, 3, 2, 3)]
+CONTRACT_DISTS = {
+    "gaussian": lambda dims: GAUSS,
+    "sparse": lambda dims: SPARSE,
+    "very_sparse": very_sparse_family,
+}
+
+
+@pytest.mark.parametrize("dims", CONTRACT_DIMS, ids=lambda d: "x".join(map(str, d)))
+@pytest.mark.parametrize("dist", CONTRACT_DISTS.values(), ids=CONTRACT_DISTS.keys())
+@pytest.mark.parametrize("m", [1, 5])
+def test_contract_kernel_matches_materialized_maps(dims, dist, m):
+    # The sampler's batch of m maps goes through the same kernel as apply;
+    # each slice must equal x times that map's materialized Khatri-Rao matrix.
+    maps = [build_trp(dims, 3, dist(dims), SeedSpec(9).child(i)) for i in range(m)]
+    factors = [np.stack([trp.factors[n] for trp in maps]) for n in range(len(dims))]
+    x = np.random.default_rng(m).standard_normal(maps[0].d)
     z = _contract_all(x, factors)
-    assert z.shape == (m, k)
-    for i in range(m):
-        trp = TensorRandomProjection(
-            (factors[0][i], factors[1][i]), (GAUSS, GAUSS)
-        )
-        assert_allclose(z[i], trp.apply(x) * math.sqrt(k), atol=1e-12)
+    assert z.shape == (m, 3)
+    for i, trp in enumerate(maps):
+        want = x @ trp.materialize()
+        assert np.linalg.norm(z[i] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_contract_of_unbalanced_dims_stays_in_the_chunk_budget():
+    # With the first mode at the head, dims (2, 50, 50) would form a
+    # (m, 2500, k) tail block, 25 times the (m, d / d_N, k) = (m, 100, k)
+    # block the default chunk size allows for.
+    dims, m, k = (2, 50, 50), 100, 5
+    factors = [np.ones((m, n, k)) for n in dims]
+    x = np.ones(math.prod(dims))
+    budget = 8 * m * k * (math.prod(dims) // dims[-1])
+    tracemalloc.start()
+    try:
+        z = _contract_all(x, factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(z, np.full((m, k), float(math.prod(dims))))
+    assert peak < 2 * budget
 
 
 def test_squared_norm_samples_deterministic():
@@ -399,7 +429,7 @@ def test_distance_ratio_identity_map_is_exactly_one():
 
 def test_distance_ratio_orthonormal_map_near_one():
     rng = np.random.default_rng(7)
-    q = qr_orthonormal(rng.standard_normal((6, 6)))
+    q = qr_factor(rng.standard_normal((6, 6))).q
     pts = rng.standard_normal((5, 6))
     report = pairwise_distance_ratio(pts, lambda p: p @ q)
     assert_allclose(report.ratios, 1.0, atol=1e-12)
@@ -501,6 +531,32 @@ def test_cosine_rmse_standard_error():
         float(report.per_rep.std(ddof=1)) / 2.0, rel=1e-12
     )
     assert report.mean_rmse == pytest.approx(float(report.per_rep.mean()), rel=1e-12)
+
+
+def test_cosine_rmse_skips_pairs_a_map_sends_to_zero():
+    pts = np.random.default_rng(13).standard_normal((4, 3))
+    # Point 1 goes to zero: its three pairs are skipped, the other three keep
+    # their cosines exactly.
+    drop_one = lambda rep: (lambda p: p * np.array([[1.0], [0.0], [1.0], [1.0]]))
+    report = cosine_similarity_rmse(pts, drop_one, 2)
+    assert np.array_equal(report.per_rep, [0.0, 0.0])
+    assert report.skipped_pairs == 6
+    # A draw that leaves no pair has no RMSE; the mean and standard error
+    # come from the other draws.
+    first_off = lambda rep: (lambda p: 0.0 * p if rep == 0 else p + [0.0, 0.0, rep])
+    report = cosine_similarity_rmse(pts, first_off, 3)
+    assert np.isnan(report.per_rep[0])
+    assert np.isfinite(report.per_rep[1:]).all()
+    assert report.mean_rmse == pytest.approx(float(report.per_rep[1:].mean()), rel=1e-12)
+    assert report.std_error == pytest.approx(
+        float(report.per_rep[1:].std(ddof=1)) / math.sqrt(2), rel=1e-12
+    )
+    assert report.skipped_pairs == 6
+    report = cosine_similarity_rmse(pts, lambda rep: (lambda p: 0.0 * p), 2)
+    assert np.isnan(report.per_rep).all()
+    assert np.isnan(report.mean_rmse) and np.isnan(report.std_error)
+    assert report.skipped_pairs == 12
+    assert cosine_similarity_rmse(pts, lambda rep: (lambda p: p), 2).skipped_pairs == 0
 
 
 def test_cosine_rmse_validation():
