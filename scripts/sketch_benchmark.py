@@ -12,8 +12,8 @@ import numpy as np
 from tensorproj import (
     EntryDistribution,
     SeedSpec,
-    SketchConfig,
     averaged_low_rank_approx,
+    build_ensemble,
     low_rank_approx,
     make_factory,
     relative_error,
@@ -57,9 +57,8 @@ def main():
             for ki, k in enumerate(ks):
                 seed = base.child(1).child(s).child(ki)
                 if kind == "trp_t":
-                    approx = averaged_low_rank_approx(
-                        target, SketchConfig(dims, k, args.T, dist, seed)
-                    )
+                    ensemble = build_ensemble(dims, k, dist, args.T, seed)
+                    approx = averaged_low_rank_approx(target, ensemble)
                 else:
                     omega = make_factory(kind, layout, k, dist, 1, seed)(0)
                     approx = low_rank_approx(target, omega)

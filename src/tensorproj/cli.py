@@ -23,7 +23,7 @@ from .experiments import (
     run_experiment,
     write_csv,
 )
-from .stats import MomentAccumulator
+from .stats import _mean_se
 
 DEFAULT_K_SWEEP = (5, 10, 25, 50, 100)
 DEFAULT_MAPS = "rp,trp,trp_t"
@@ -136,16 +136,13 @@ def _print_summary(records: list[ExperimentRecord]) -> None:
         cells.setdefault((r.map_kind, r.k), []).append(r.value)
     for (kind, k), values in sorted(cells.items()):
         # A cosine draw whose map leaves no point pair records nan.
-        acc = MomentAccumulator()
-        acc.add([v for v in values if not math.isnan(v)])
-        empty = len(values) - acc.count
-        reps = f" ({acc.count} reps" + (f", {empty} with no pair)" if empty else ")")
-        if acc.count > 1:
-            se = math.sqrt(acc.variance() / acc.count)
-            print(f"{kind:8s} k={k:<4d} mean={acc.mean:.6g} se={se:.3g}{reps}")
+        mean, se, count = _mean_se(values)
+        empty = len(values) - count
+        reps = f" ({count} reps" + (f", {empty} with no pair)" if empty else ")")
+        if count > 1:
+            print(f"{kind:8s} k={k:<4d} mean={mean:.6g} se={se:.3g}{reps}")
         else:
-            value = acc.mean if acc.count else math.nan
-            print(f"{kind:8s} k={k:<4d} value={value:.6g}{reps if empty else ''}")
+            print(f"{kind:8s} k={k:<4d} value={mean:.6g}{reps if empty else ''}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -28,9 +28,8 @@ import numpy as np
 
 from .data import gen_synthetic, load_mnist
 from .distributions import EntryDistribution, SeedSpec, very_sparse_family
-from .maps import MAP_KINDS, make_factory
+from .maps import MAP_KINDS, build_ensemble, make_factory
 from .sketch import (
-    SketchConfig,
     averaged_low_rank_approx,
     low_rank_approx,
     relative_error,
@@ -262,9 +261,8 @@ def _run_cell(
     for rep in range(reps):
         rep_seed = cell_seed.child(rep)
         if kind == "trp_t":
-            approx = averaged_low_rank_approx(
-                target, SketchConfig(dims, k, T, dist, rep_seed)
-            )
+            ensemble = build_ensemble(dims, k, dist, T, rep_seed)
+            approx = averaged_low_rank_approx(target, ensemble)
         else:
             omega = make_factory(kind, dims, k, dist, 1, rep_seed)(0)
             approx = low_rank_approx(target, omega)

@@ -2,9 +2,9 @@
 
 The range-finder recipe: sketch ``Z = X @ Omega`` (here, apply the projection
 map to each row of ``X``), orthonormalize ``Q = qr(Z)``, and return the
-projected approximation ``Q Q^T X``.  Averaging the approximations of T
-independent sketches trades a factor T of work for a variance reduction that
-matches the T-replicate projection ensembles.
+projected approximation ``Q Q^T X``.  Averaging the approximations of the T
+replicates of a :class:`~tensorproj.maps.TrpEnsemble` trades a factor T of
+work for a variance reduction that matches the ensemble's own.
 
 Synthetic targets come from a random Tucker model: an order-N core with
 uniform entries, orthonormal arm matrices, and white noise calibrated to 1%
@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import EntryDistribution, SeedSpec
+from .distributions import SeedSpec
 from .linalg import qr_factor
-from .maps import _check_shape, build_trp
+from .maps import TrpEnsemble
 from .stats import Projection
 
 NOISE_ENERGY_FRACTION = 0.01
@@ -30,20 +29,6 @@ NOISE_ENERGY_FRACTION = 0.01
 
 class RankDeficiencyWarning(UserWarning):
     """The sketch had fewer independent directions than requested."""
-
-
-@dataclass(frozen=True)
-class SketchConfig:
-    """Parameters for an averaged structured sketch."""
-
-    dims: tuple[int, ...]
-    k: int
-    T: int
-    dist: EntryDistribution | tuple[EntryDistribution, ...]
-    seed: SeedSpec
-
-    def __post_init__(self) -> None:
-        _check_shape(self.dims, self.k, self.T)
 
 
 def low_rank_approx(x: np.ndarray, omega: Projection) -> np.ndarray:
@@ -73,25 +58,18 @@ def low_rank_approx(x: np.ndarray, omega: Projection) -> np.ndarray:
     return q @ (q.T @ x)
 
 
-def averaged_low_rank_approx(x: np.ndarray, cfg: SketchConfig) -> np.ndarray:
-    """Mean of T independent sketched approximations (plain 1/T average).
+def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> np.ndarray:
+    """Mean of the sketched approximations of the ensemble's T replicates.
 
-    Replicate t draws its projection from the seed's child stream t, and each
-    projection draws factor i from its own child stream i, so all factor
-    matrices across replicates are independent.
+    A plain 1/T average of :func:`low_rank_approx` with each replicate;
+    ``build_ensemble`` draws replicate t from the seed's child stream t, so
+    all factor matrices across replicates are independent.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("averaged_low_rank_approx expects a matrix")
-    if math.prod(cfg.dims) != x.shape[1]:
-        raise ValueError(
-            f"config dims {cfg.dims} do not factor the column count {x.shape[1]}"
-        )
     acc = np.zeros_like(x)
-    for t in range(cfg.T):
-        omega = build_trp(cfg.dims, cfg.k, cfg.dist, cfg.seed.child(t))
+    for omega in ensemble.replicates:
         acc += low_rank_approx(x, omega)
-    return acc / cfg.T
+    return acc / ensemble.T
 
 
 def multi_mode_product(core: np.ndarray, arms: Sequence[np.ndarray]) -> np.ndarray:
@@ -109,7 +87,6 @@ def tucker_synthetic(
     order: int,
     core_rank: int,
     seed: SeedSpec,
-    core_override: np.ndarray | None = None,
     noise_fraction: float = NOISE_ENERGY_FRACTION,
 ) -> np.ndarray:
     """Noisy random Tucker tensor of shape ``(side,) * order``.
@@ -118,8 +95,6 @@ def tucker_synthetic(
     bases of Gaussian draws, and i.i.d. Gaussian noise is added with scale
     ``sqrt(noise_fraction * ||signal||_F^2 / side**order)`` so the noise
     carries about ``noise_fraction`` of the signal energy (1% by default).
-    ``core_override`` substitutes a fixed core (same shape) regardless of the
-    seed, which is how tests pin degenerate cases like an all-zero core.
     ``noise_fraction=0`` gives the exact low-rank signal; the core and arms
     only consume their own child streams, so the noiseless tensor is the
     same one the noisy draw perturbs.
@@ -134,13 +109,7 @@ def tucker_synthetic(
         )
     if noise_fraction < 0.0:
         raise ValueError(f"noise fraction must be non-negative, got {noise_fraction}")
-    core_shape = (core_rank,) * order
-    if core_override is not None:
-        core = np.asarray(core_override, dtype=float)
-        if core.shape != core_shape:
-            raise ValueError(f"core override must have shape {core_shape}")
-    else:
-        core = seed.child(0).generator().random(core_shape)
+    core = seed.child(0).generator().random((core_rank,) * order)
     arms = []
     for n in range(order):
         g = seed.child(1 + n).generator().standard_normal((side, core_rank))

@@ -35,10 +35,8 @@ such as Rademacher signs (m = 1) can put the exact variance below it.
 building maps one by one but batches the factor draws, which is what makes
 million-trial grids affordable.  It contracts a whole chunk of drawn maps
 with the maps' own Khatri-Rao kernel (``maps._contract``), batched over the
-draws instead of over inputs.
-
-Estimator accumulation uses pairwise moment merging (Chan et al.), so chunked
-or parallel reductions give the same stable results.
+draws instead of over inputs.  Every Monte-Carlo statistic here is a numpy
+reduction of one vector of draws.
 """
 
 from __future__ import annotations
@@ -55,41 +53,6 @@ from .maps import _check_input, _check_shape, _contract
 
 Projection = Callable[[np.ndarray], np.ndarray]
 MapFactory = Callable[[int], Projection]
-
-
-@dataclass
-class MomentAccumulator:
-    """Running count/mean/M2 with order-stable parallel merging."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def add(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size == 0:
-            return
-        batch_mean = float(values.mean())
-        batch_m2 = float(np.sum((values - batch_mean) ** 2))
-        self._merge(values.size, batch_mean, batch_m2)
-
-    def merge(self, other: "MomentAccumulator") -> None:
-        self._merge(other.count, other.mean, other.m2)
-
-    def _merge(self, n_b: int, mean_b: float, m2_b: float) -> None:
-        if n_b == 0:
-            return
-        n_a = self.count
-        n = n_a + n_b
-        delta = mean_b - self.mean
-        self.mean += delta * n_b / n
-        self.m2 += m2_b + delta * delta * n_a * n_b / n
-        self.count = n
-
-    def variance(self, ddof: int = 1) -> float:
-        if self.count <= ddof:
-            return 0.0
-        return self.m2 / (self.count - ddof)
 
 
 @dataclass(frozen=True)
@@ -211,28 +174,47 @@ def exact_variance(
     return (ez4 - 3.0 * norm2_4) / (T * k) + 2.0 / k * norm2_4
 
 
+def _mean_se(values: np.ndarray) -> tuple[float, float, int]:
+    """Mean, standard error of the mean and count of the non-NaN ``values``.
+
+    NaN marks a draw with no value.  With no values left the mean and the
+    standard error are NaN; with one the standard error is 0.
+    """
+    v = np.asarray(values, dtype=float)
+    v = v[~np.isnan(v)]
+    if v.size == 0:
+        return math.nan, math.nan, 0
+    se = math.sqrt(float(v.var(ddof=1)) / v.size) if v.size > 1 else 0.0
+    return float(v.mean()), se, int(v.size)
+
+
 def _stats_from_samples(w: np.ndarray, x_sq_norm: float) -> IsometryStats:
-    acc = MomentAccumulator()
-    # Merge in fixed-size blocks so huge runs accumulate the same way a
-    # parallel reduction would.
-    for start in range(0, w.size, 65536):
-        acc.add(w[start : start + 65536])
+    """Summary of at least two draws ``w`` of ||f(x)||^2 for ||x||^2 = ``x_sq_norm``."""
+    var = float(w.var(ddof=1))
     if x_sq_norm == 0.0:
         return IsometryStats(
             mean_sq_norm_ratio=math.nan,
-            var_sq_norm=acc.variance(),
+            var_sq_norm=var,
             trials=int(w.size),
             std_error_mean=math.nan,
             degenerate=True,
         )
-    std_w = math.sqrt(acc.variance())
     return IsometryStats(
-        mean_sq_norm_ratio=acc.mean / x_sq_norm,
-        var_sq_norm=acc.variance(),
+        mean_sq_norm_ratio=float(w.mean()) / x_sq_norm,
+        var_sq_norm=var,
         trials=int(w.size),
-        std_error_mean=std_w / (x_sq_norm * math.sqrt(w.size)),
+        std_error_mean=math.sqrt(var) / (x_sq_norm * math.sqrt(w.size)),
         degenerate=False,
     )
+
+
+def _factory_samples(map_factory: MapFactory, x: np.ndarray, trials: int) -> np.ndarray:
+    """||f_i(x)||^2 for the maps ``f_i = map_factory(i)``, i < ``trials``."""
+    w = np.empty(trials)
+    for i in range(trials):
+        y = map_factory(i)(x)
+        w[i] = float(y @ y)
+    return w
 
 
 def empirical_isometry(
@@ -247,11 +229,7 @@ def empirical_isometry(
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a variance, got {trials}")
     x = np.asarray(x, dtype=float).ravel()
-    w = np.empty(trials)
-    for i in range(trials):
-        y = map_factory(i)(x)
-        w[i] = float(y @ y)
-    return _stats_from_samples(w, float(x @ x))
+    return _stats_from_samples(_factory_samples(map_factory, x, trials), float(x @ x))
 
 
 def _contract_all(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -283,24 +261,21 @@ def squared_norm_samples(
     trials: int,
     seed: SeedSpec,
     T: int = 1,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """``trials`` draws of ||f(x)||^2 under independent T-replicate maps.
 
     Distributionally identical to ``build_ensemble(...)`` followed by
     ``apply`` in a loop, but draws whole chunks of factor matrices at once.
     Chunk c consumes the seed's child stream c, so results do not depend on
-    chunk scheduling (they do depend on the chunk size).
+    chunk scheduling; they do depend on the chunk size, which
+    :func:`_default_chunk` fixes for each shape.
     """
     dims = _check_shape(dims, k, T)
     dists = per_factor(dist, len(dims))
     x = _check_input(x, dims)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if chunk is None:
-        chunk = _default_chunk(dims, k, T)
-    elif chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
+    chunk = _default_chunk(dims, k, T)
     out = np.empty(trials)
     start = 0
     chunk_index = 0
@@ -422,11 +397,8 @@ def cosine_similarity_rmse(
         skipped += keep.size - int(keep.sum())
         err = est_cos[keep] - true_cos[keep]
         per_rep[rep] = math.sqrt(float(np.mean(err**2))) if err.size else math.nan
-    rated = per_rep[~np.isnan(per_rep)]
-    if rated.size == 0:
-        return CosineRmse(math.nan, math.nan, per_rep, skipped)
-    se = float(rated.std(ddof=1)) / math.sqrt(rated.size) if rated.size > 1 else 0.0
-    return CosineRmse(float(rated.mean()), se, per_rep, skipped)
+    mean, se, _ = _mean_se(per_rep)
+    return CosineRmse(mean, se, per_rep, skipped)
 
 
 def tail_exceedance(
@@ -441,12 +413,8 @@ def tail_exceedance(
     x_sq = float(x @ x)
     if x_sq == 0.0:
         raise ValueError("tail exceedance undefined for x = 0")
-    hits = 0
-    for i in range(trials):
-        y = map_factory(i)(x)
-        if abs(float(y @ y) - x_sq) >= eps * x_sq:
-            hits += 1
-    return hits / trials
+    w = _factory_samples(map_factory, x, trials)
+    return np.count_nonzero(np.abs(w - x_sq) >= eps * x_sq) / trials
 
 
 def polarization_check(project: Projection, x: np.ndarray, y: np.ndarray) -> float:

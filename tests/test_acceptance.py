@@ -23,7 +23,6 @@ from tensorproj.maps import (
     make_factory,
 )
 from tensorproj.sketch import (
-    SketchConfig,
     averaged_low_rank_approx,
     low_rank_approx,
     relative_error,
@@ -311,7 +310,7 @@ def test_criterion_10_sketching_error_decays_and_averaging_helps():
                 seed = base.child(1).child(s).child(ki)
                 if kind == "trp_t":
                     approx = averaged_low_rank_approx(
-                        target, SketchConfig((30, 30), k, 5, GAUSS, seed)
+                        target, build_ensemble((30, 30), k, GAUSS, 5, seed)
                     )
                 else:
                     omega = make_factory(kind, dims, k, GAUSS, 1, seed)(0)

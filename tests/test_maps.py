@@ -16,7 +16,6 @@ from tensorproj.maps import (
     build_trp,
     make_factory,
 )
-from tensorproj.sketch import SketchConfig
 from tensorproj.stats import exact_variance, squared_norm_samples, theoretical_variance
 
 GAUSS = EntryDistribution.gaussian()
@@ -119,6 +118,25 @@ def test_linearity(shape):
     right = a * trp.apply(x) + b * trp.apply(y)
     scale = max(np.linalg.norm(left), np.linalg.norm(right), 1e-30)
     assert np.linalg.norm(left - right) <= 1e-12 * scale
+
+
+@settings(max_examples=60)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    k=st.integers(1, 3),
+    rows=st.sampled_from([0, 1, 5]),
+    dist=st.sampled_from([GAUSS, SPARSE]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_matches_materialized_matrix_on_shape_edges(dims, k, rows, dist, seed):
+    # Size-1 modes, orders 1-4, k = 1 and batches of 0, 1 and n rows all go
+    # through the one kernel; each must equal the explicit Khatri-Rao matrix.
+    trp = build_trp(dims, k, dist, SeedSpec(seed))
+    xs = np.random.default_rng(seed).standard_normal((rows, trp.d))
+    got = trp.apply(xs)
+    want = xs @ trp.materialize() / math.sqrt(k)
+    assert got.shape == want.shape == (rows, k)
+    assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
 def test_batch_apply_matches_rows():
@@ -321,7 +339,6 @@ SHAPE_CHECKED = {
     "squared_norm_samples": ("dims", "k", "T"),
     "exact_variance": ("dims", "k", "T"),
     "theoretical_variance": ("k", "T"),
-    "SketchConfig": ("dims", "k", "T"),
 }
 BAD_SHAPES = {
     "dims": (((0,), 2, 1), "dims must be positive, got (0,)"),
@@ -341,7 +358,6 @@ def _call_shape_checked(name, dims, k, T):
         ),
         "exact_variance": lambda: exact_variance(x, dims, 3.0, k, T),
         "theoretical_variance": lambda: theoretical_variance(x, 3.0, k, T),
-        "SketchConfig": lambda: SketchConfig(dims, k, T, GAUSS, SeedSpec(0)),
     }
     calls[name]()
 

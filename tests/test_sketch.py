@@ -4,10 +4,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from tensorproj.distributions import EntryDistribution, SeedSpec
 from tensorproj.linalg import mode_n_unfold, qr_factor
-from tensorproj.maps import build_trp
+from tensorproj.maps import build_ensemble, build_trp
 from tensorproj.sketch import (
     RankDeficiencyWarning,
-    SketchConfig,
     averaged_low_rank_approx,
     low_rank_approx,
     multi_mode_product,
@@ -90,42 +89,42 @@ def test_projection_is_idempotent():
 def test_averaging_one_replicate_matches_single_sketch():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((14, 6))
-    cfg = SketchConfig(dims=(3, 2), k=4, T=1, dist=GAUSS, seed=SeedSpec(12))
+    ensemble = build_ensemble((3, 2), 4, GAUSS, 1, SeedSpec(12))
     omega = build_trp((3, 2), 4, GAUSS, SeedSpec(12).child(0))
-    assert_array_equal(averaged_low_rank_approx(x, cfg), low_rank_approx(x, omega))
+    assert_array_equal(averaged_low_rank_approx(x, ensemble), low_rank_approx(x, omega))
+
+
+def test_averaging_is_the_mean_over_the_ensemble_replicates():
+    x = np.random.default_rng(23).standard_normal((16, 12))
+    ensemble = build_ensemble((4, 3), 3, GAUSS, 4, SeedSpec(24))
+    approxs = [low_rank_approx(x, rep) for rep in ensemble.replicates]
+    assert_array_equal(averaged_low_rank_approx(x, ensemble), np.mean(approxs, axis=0))
 
 
 def test_averaging_preserves_exact_recovery():
     rng = np.random.default_rng(13)
     x = rank_limited(rng, 25, 12, 3)
-    cfg = SketchConfig(dims=(4, 3), k=5, T=3, dist=GAUSS, seed=SeedSpec(14))
+    ensemble = build_ensemble((4, 3), 5, GAUSS, 3, SeedSpec(14))
     # sketching a rank-3 matrix with k=5 is rank deficient by construction
     with pytest.warns(RankDeficiencyWarning):
-        approx = averaged_low_rank_approx(x, cfg)
+        approx = averaged_low_rank_approx(x, ensemble)
     assert relative_error(x, approx) <= 1e-8
 
 
 def test_averaged_rank_is_bounded_by_t_times_k():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((12, 12))
-    cfg = SketchConfig(dims=(4, 3), k=2, T=3, dist=GAUSS, seed=SeedSpec(16))
-    approx = averaged_low_rank_approx(x, cfg)
+    ensemble = build_ensemble((4, 3), 2, GAUSS, 3, SeedSpec(16))
+    approx = averaged_low_rank_approx(x, ensemble)
     assert np.linalg.matrix_rank(approx) <= 6
 
 
 def test_averaged_low_rank_validation():
-    cfg = SketchConfig(dims=(3, 2), k=2, T=2, dist=GAUSS, seed=SeedSpec(0))
+    ensemble = build_ensemble((3, 2), 2, GAUSS, 2, SeedSpec(0))
     with pytest.raises(ValueError, match="expects a matrix"):
-        averaged_low_rank_approx(np.ones(6), cfg)
-    with pytest.raises(ValueError, match="do not factor"):
-        averaged_low_rank_approx(np.ones((5, 7)), cfg)
-
-
-def test_sketch_config_validation():
-    with pytest.raises(ValueError, match="k must be positive"):
-        SketchConfig(dims=(2, 2), k=0, T=1, dist=GAUSS, seed=SeedSpec(0))
-    with pytest.raises(ValueError, match="T must be positive"):
-        SketchConfig(dims=(2, 2), k=1, T=0, dist=GAUSS, seed=SeedSpec(0))
+        averaged_low_rank_approx(np.ones(6), ensemble)
+    with pytest.raises(ValueError, match="input has 7 entries, map expects 6"):
+        averaged_low_rank_approx(np.ones((5, 7)), ensemble)
 
 
 # -------------------------------------------------------------- tucker model
@@ -150,17 +149,6 @@ def test_multi_mode_product_order_three():
 def test_multi_mode_product_arm_count_must_match():
     with pytest.raises(ValueError, match="modes"):
         multi_mode_product(np.ones((2, 2)), [np.ones((3, 2))])
-
-
-def test_zero_core_gives_zero_tensor():
-    t = tucker_synthetic(6, 3, 2, SeedSpec(19), core_override=np.zeros((2, 2, 2)))
-    assert t.shape == (6, 6, 6)
-    assert np.all(t == 0.0)
-
-
-def test_core_override_shape_checked():
-    with pytest.raises(ValueError, match="core override"):
-        tucker_synthetic(6, 2, 3, SeedSpec(0), core_override=np.zeros((3, 3, 3)))
 
 
 def test_noiseless_tensor_has_core_rank_unfoldings():

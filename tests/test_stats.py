@@ -12,8 +12,9 @@ from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_fa
 from tensorproj.linalg import qr_factor
 from tensorproj.maps import build_trp, make_factory
 from tensorproj.stats import (
-    MomentAccumulator,
     _contract_all,
+    _default_chunk,
+    _mean_se,
     cosine_similarity_rmse,
     empirical_isometry,
     exact_variance,
@@ -254,47 +255,24 @@ def test_exact_variance_validation():
         exact_variance(np.ones(7), (4, 2), 3.0, 2)
 
 
-# ------------------------------------------------------- moment accumulation
+# ------------------------------------------------------------ mean and SE
 
 
-def test_accumulator_matches_numpy():
+def test_mean_se_matches_numpy():
     vals = np.random.default_rng(1).standard_normal(1000)
-    acc = MomentAccumulator()
-    acc.add(vals)
-    assert acc.count == 1000
-    assert acc.mean == pytest.approx(float(vals.mean()), rel=1e-12)
-    assert acc.variance() == pytest.approx(float(vals.var(ddof=1)), rel=1e-12)
-    assert acc.variance(ddof=0) == pytest.approx(float(vals.var()), rel=1e-12)
+    mean, se, count = _mean_se(vals)
+    assert count == 1000
+    assert mean == pytest.approx(float(vals.mean()), rel=1e-12)
+    assert se == pytest.approx(float(vals.std(ddof=1)) / math.sqrt(1000), rel=1e-12)
 
 
-def test_accumulator_degenerate_cases():
-    acc = MomentAccumulator()
-    assert acc.variance() == 0.0
-    acc.add(np.array([]))
-    assert acc.count == 0
-    acc.add(np.array([2.0]))
-    assert acc.variance() == 0.0  # one sample, ddof=1
-    assert acc.variance(ddof=0) == 0.0
-
-
-@settings(max_examples=60)
-@given(
-    entries=st.lists(st.floats(-100, 100), min_size=2, max_size=40),
-    cut=st.integers(0, 40),
-)
-def test_merge_equals_single_pass(entries, cut):
-    vals = np.asarray(entries)
-    cut = min(cut, vals.size)
-    left = MomentAccumulator()
-    left.add(vals[:cut])
-    right = MomentAccumulator()
-    right.add(vals[cut:])
-    left.merge(right)
-    whole = MomentAccumulator()
-    whole.add(vals)
-    assert left.count == whole.count
-    assert left.mean == pytest.approx(whole.mean, abs=1e-9)
-    assert left.variance() == pytest.approx(whole.variance(), rel=1e-8, abs=1e-9)
+def test_mean_se_skips_nan_draws():
+    assert _mean_se(np.array([1.0, math.nan, 3.0])) == (2.0, 1.0, 2)
+    assert _mean_se(np.array([math.nan, 2.0])) == (2.0, 0.0, 1)
+    mean, se, count = _mean_se(np.array([math.nan, math.nan]))
+    assert math.isnan(mean) and math.isnan(se) and count == 0
+    mean, se, count = _mean_se(np.array([]))
+    assert math.isnan(mean) and math.isnan(se) and count == 0
 
 
 # ----------------------------------------------------------------- samplers
@@ -350,14 +328,14 @@ def test_squared_norm_samples_deterministic():
     assert np.array_equal(a, b)
     c = squared_norm_samples((4, 2), 3, SPARSE, x, 500, SeedSpec(12), T=2)
     assert not np.array_equal(a, c)
-
-
-def test_squared_norm_samples_explicit_chunking():
-    x = np.ones(6)
-    a = squared_norm_samples((3, 2), 2, GAUSS, x, 100, SeedSpec(4), chunk=37)
-    b = squared_norm_samples((3, 2), 2, GAUSS, x, 100, SeedSpec(4), chunk=37)
-    assert np.array_equal(a, b)
-    assert a.shape == (100,)
+    # Chunk c draws from child stream c: 400 trials of 158-trial chunks use
+    # three streams, and a run of whole chunks repeats their draws exactly.
+    assert _default_chunk((2, 500), 100, 1) == 158
+    x = np.random.default_rng(3).standard_normal(1000)
+    d = squared_norm_samples((2, 500), 100, GAUSS, x, 400, SeedSpec(4))
+    assert d.shape == (400,)
+    assert np.array_equal(d, squared_norm_samples((2, 500), 100, GAUSS, x, 400, SeedSpec(4)))
+    assert np.array_equal(d[:316], squared_norm_samples((2, 500), 100, GAUSS, x, 316, SeedSpec(4)))
 
 
 def test_squared_norm_samples_validation():
@@ -369,10 +347,8 @@ def test_squared_norm_samples_validation():
         squared_norm_samples((4, 2), 3, GAUSS, np.ones(8), 10, SeedSpec(0), T=0)
 
 
-def test_squared_norm_samples_rejects_zero_chunk_k_and_dims():
-    # chunk=0 used to loop forever and k=0 to return NaN with a warning.
-    with pytest.raises(ValueError, match="chunk must be positive, got 0"):
-        squared_norm_samples((4, 2), 3, GAUSS, np.ones(8), 10, SeedSpec(0), chunk=0)
+def test_squared_norm_samples_rejects_zero_k_and_dims():
+    # k=0 used to return NaN with a warning.
     with pytest.raises(ValueError, match="k must be positive, got 0"):
         squared_norm_samples((4, 2), 0, GAUSS, np.ones(8), 10, SeedSpec(0))
     with pytest.raises(ValueError, match="dims must be positive"):
@@ -586,6 +562,19 @@ def test_tail_exceedance_monotone_in_eps():
     factory = make_factory("trp", (2, 2), 5, GAUSS, 1, SeedSpec(41))
     fracs = [tail_exceedance(factory, x, eps, 200) for eps in (0.1, 0.3, 0.6)]
     assert fracs[0] >= fracs[1] >= fracs[2]
+
+
+def test_factory_estimators_reduce_the_per_map_draws():
+    # Reference: one ||f_i(x)||^2 per map, counted and averaged in a loop.
+    x = np.random.default_rng(42).standard_normal(6)
+    factory = make_factory("trp_t", (3, 2), 4, SPARSE, 2, SeedSpec(43))
+    draws = [float(y @ y) for y in (factory(i)(x) for i in range(300))]
+    x_sq = float(x @ x)
+    hits = sum(abs(w - x_sq) >= 0.3 * x_sq for w in draws)
+    assert tail_exceedance(factory, x, 0.3, 300) == hits / 300
+    report = empirical_isometry(factory, x, 300)
+    assert report.mean_sq_norm_ratio == pytest.approx(np.mean(draws) / x_sq, rel=1e-12)
+    assert report.var_sq_norm == pytest.approx(np.var(draws, ddof=1), rel=1e-12)
 
 
 def test_tail_exceedance_validation():
