@@ -76,6 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--T", type=int, default=5, help="ensemble replicate count")
     parser.add_argument(
+        "--order",
+        type=int,
+        default=2,
+        help="sketch only: order N of the Tucker target, unfolded to s x d, s^(N-1) = d",
+    )
+    parser.add_argument(
         "--n",
         type=int,
         default=None,
@@ -107,7 +113,9 @@ def _resolve_dims(
 
 def build_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
     args = build_parser().parse_args(argv)
-    map_kinds = tuple(tok for tok in args.map.split(",") if tok)
+    map_kinds = tuple(args.map.split(","))
+    if "" in map_kinds:
+        raise ConfigError(f"--map expects comma-separated map kinds, got {args.map!r}")
     dims = _resolve_dims(
         args.d, _parse_dims(args.dims) if args.dims else None, map_kinds
     )
@@ -127,6 +135,7 @@ def build_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
         base_seed=args.seed,
         mnist_path=args.mnist,
         out_path=args.out,
+        order=args.order,
     )
 
 

@@ -7,6 +7,10 @@ Four experiments are wired up:
 ``variance``    one squared-norm sample ||f(e_1)||^2 per map draw
 ``sketch``      relative error of a sketched low-rank approximation per draw
 
+The sketch target is a noisy random Tucker tensor of order N (``order``,
+default 2) and side s with ``s**(N - 1) = d``, unfolded to an ``s x d``
+matrix; each map projects its d columns.  At N = 2 it is ``d x d``.
+
 Each experiment sweeps map kinds and sketch sizes k and emits one record per
 (map kind, k, replication).  Runs are deterministic functions of the config:
 the base seed fans out per data source, map kind, k and replication, so the
@@ -77,6 +81,7 @@ class ExperimentConfig:
     base_seed: int
     mnist_path: str | None = None
     out_path: str | None = None
+    order: int = 2
 
     @property
     def d(self) -> int:
@@ -131,11 +136,24 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"the image set has d=784, config says d={cfg.d}")
     if cfg.mnist_path is not None and cfg.experiment in ("variance", "sketch"):
         raise ConfigError(f"the {cfg.experiment} experiment generates its own data")
+    if cfg.order < 2:
+        raise ConfigError(f"order must be at least 2, got {cfg.order}")
+    if cfg.order != 2 and cfg.experiment != "sketch":
+        raise ConfigError(f"order {cfg.order} applies only to the sketch experiment")
     if cfg.experiment == "sketch":
-        if max(cfg.k_sweep) > cfg.d:
-            raise ConfigError("sketch size k cannot exceed the matrix side")
-        if SKETCH_CORE_RANK > cfg.d:
-            raise ConfigError("matrix side too small for the synthetic core rank")
+        side = _sketch_side(cfg)
+        if side is None:
+            raise ConfigError(f"d={cfg.d} is not s^{cfg.order - 1} for any integer side s")
+        if max(cfg.k_sweep) > side:
+            raise ConfigError(f"sketch size k cannot exceed the matrix side s={side}")
+        if SKETCH_CORE_RANK > side:
+            raise ConfigError(f"matrix side {side} too small for the synthetic core rank")
+
+
+def _sketch_side(cfg: ExperimentConfig) -> int | None:
+    """Side s of the sketch target, ``s**(order - 1) == d``; None if there is none."""
+    side = round(cfg.d ** (1.0 / (cfg.order - 1)))
+    return side if side ** (cfg.order - 1) == cfg.d else None
 
 
 def _dist_for(cfg: ExperimentConfig, kind: str):
@@ -179,8 +197,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
         if cfg.experiment == "distance":
             original = pair_distances(points)
     elif cfg.experiment == "sketch":
-        tensor = tucker_synthetic(cfg.d, 2, SKETCH_CORE_RANK, data_seed)
-        target = tensor.reshape(cfg.d, cfg.d)
+        side = _sketch_side(cfg)
+        tensor = tucker_synthetic(side, cfg.order, SKETCH_CORE_RANK, data_seed)
+        target = tensor.reshape(side, cfg.d)
 
     records: list[ExperimentRecord] = []
     for kind_idx, kind in enumerate(cfg.map_kinds):

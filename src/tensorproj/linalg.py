@@ -8,16 +8,16 @@ multi-index ``(r_1, ..., r_N)`` sits at linear position
     1 + sum_n (r_n - 1) * s_n,   s_n = prod_{m > n} d_m.
 
 This is exactly numpy's C ordering, so ``x.reshape(dims)`` and
-``tensor.ravel()`` agree with :func:`multi_index_to_linear`.  Kronecker
-products (:func:`kron_vec`), the rows of :func:`khatri_rao` and mode
-unfoldings all follow this one convention; mixing conventions is the classic
-source of silent transposition bugs in tensor code, so keep it in one place.
+``tensor.ravel()`` follow it.  Kronecker products (``np.kron``, first factor
+slowest), the rows of :func:`khatri_rao` and mode unfoldings (the mode moved
+to the front, then a C-order reshape) all follow this one convention; mixing
+conventions is the classic source of silent transposition bugs in tensor
+code, so keep it in one place.
 """
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,59 +45,6 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     out = a[..., :, None, :] * b[..., None, :, :]
     return out.reshape(out.shape[:-3] + (a.shape[-2] * b.shape[-2], a.shape[-1]))
-
-
-def kron_vec(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product v_1 (x) v_2 (x) ... (x) v_N of 1-D arrays.
-
-    The first vector varies slowest, consistent with
-    :func:`multi_index_to_linear`.
-    """
-    if len(vectors) == 0:
-        raise ValueError("kron_vec needs at least one vector")
-    out = np.asarray(vectors[0], dtype=float).ravel()
-    for v in vectors[1:]:
-        out = np.kron(out, np.asarray(v, dtype=float).ravel())
-    return out
-
-
-def multi_index_to_linear(index: Sequence[int], dims: Sequence[int]) -> int:
-    """Map a 1-based multi-index to its 1-based linear position."""
-    if len(index) != len(dims):
-        raise ValueError(f"index length {len(index)} != order {len(dims)}")
-    pos = 0
-    for r, d in zip(index, dims):
-        if not 1 <= r <= d:
-            raise IndexError(f"index component {r} out of range 1..{d}")
-        pos = pos * d + (r - 1)
-    return pos + 1
-
-
-def linear_to_multi_index(position: int, dims: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`multi_index_to_linear` (both ends 1-based)."""
-    total = math.prod(dims)
-    if not 1 <= position <= total:
-        raise IndexError(f"linear position {position} out of range 1..{total}")
-    rem = position - 1
-    out = []
-    for d in reversed(dims):
-        rem, r = divmod(rem, d)
-        out.append(r + 1)
-    return tuple(reversed(out))
-
-
-def mode_n_unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
-    """Unfold a tensor along ``mode`` (1-based) into a ``d_mode x rest`` matrix.
-
-    Row ``i`` collects all entries whose mode-``mode`` index equals ``i``;
-    columns are ordered by the multi-index of the remaining modes in
-    ascending mode order (last remaining mode fastest).
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    if not 1 <= mode <= tensor.ndim:
-        raise IndexError(f"mode {mode} out of range 1..{tensor.ndim}")
-    moved = np.moveaxis(tensor, mode - 1, 0)
-    return moved.reshape(tensor.shape[mode - 1], -1)
 
 
 class QrFactor(NamedTuple):

@@ -51,16 +51,29 @@ def _check_shape(dims: Sequence[int], k: int, T: int = 1) -> tuple[int, ...]:
     return dims
 
 
-def _check_input(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """``x`` as a flat float vector, which must hold ``prod(dims)`` entries."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != math.prod(dims):
-        raise ValueError(f"x has {x.size} entries, dims {dims} need {math.prod(dims)}")
+def _check_finite(x: np.ndarray) -> np.ndarray:
+    """``x`` itself, which must hold no NaN or infinite entry.
+
+    A finite sum rules both out without an ``x``-sized temporary; only a sum
+    that is not finite, NaN and inf or an overflow, needs the entrywise test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.sum()
+    if not np.isfinite(total) and not np.isfinite(x).all():
+        raise ValueError("input holds NaN or infinite entries")
     return x
 
 
+def _check_input(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """``x`` as a flat finite float vector, which must hold ``prod(dims)`` entries."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != math.prod(dims):
+        raise ValueError(f"x has {x.size} entries, dims {dims} need {math.prod(dims)}")
+    return _check_finite(x)
+
+
 def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
-    """The one input check of every map: a real vector or an ``(n, d)`` batch."""
+    """The one input check of every map: a finite real vector or ``(n, d)`` batch."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
         raise ValueError("input is complex; projections take real input")
@@ -74,7 +87,7 @@ def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
         x = x[None, :]
     if x.shape[1] != d:
         raise ValueError(f"input has {x.shape[1]} entries, map expects {d}")
-    return x, single
+    return _check_finite(x), single
 
 
 def _contract(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:

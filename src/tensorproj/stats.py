@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import EntryDistribution, SeedSpec, _sample_array, per_factor
-from .maps import _check_input, _check_shape, _contract
+from .maps import _check_finite, _check_input, _check_shape, _contract
 
 Projection = Callable[[np.ndarray], np.ndarray]
 MapFactory = Callable[[int], Projection]
@@ -86,6 +86,8 @@ def _check_moments(fourth_moments: Sequence[float]) -> list[float]:
     moments = [float(m) for m in fourth_moments]
     if not moments:
         raise ValueError("need at least one factor fourth moment")
+    if not all(math.isfinite(m) for m in moments):
+        raise ValueError(f"fourth moments must be finite, got {moments}")
     if any(m < 1.0 for m in moments):
         # E[a^4] >= (E[a^2])^2 = 1 for any unit-variance entry distribution.
         raise ValueError(f"fourth moments below 1 are impossible: {moments}")
@@ -108,7 +110,7 @@ def theoretical_variance(
     if np.isscalar(fourth_moments):
         fourth_moments = [fourth_moments]
     moments = _check_moments(fourth_moments)
-    x = np.asarray(x, dtype=float).ravel()
+    x = _check_finite(np.asarray(x, dtype=float).ravel())
     _check_shape((x.size,), k, T)
     norm4_4 = float(np.sum(x**4))
     norm2_4 = float(np.sum(x**2)) ** 2
@@ -313,7 +315,7 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need a 2-D array with at least two point rows")
-    return pts
+    return _check_finite(pts)
 
 
 def pair_distances(points: np.ndarray) -> np.ndarray:
@@ -405,8 +407,8 @@ def tail_exceedance(
     map_factory: MapFactory, x: np.ndarray, eps: float, trials: int
 ) -> float:
     """Fraction of draws with | ||f(x)||^2 - ||x||^2 | >= eps * ||x||^2."""
-    if eps < 0.0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     x = np.asarray(x, dtype=float).ravel()

@@ -1,6 +1,10 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 
 from tensorproj.cli import build_config, main
+from tensorproj.experiments import _validate
 
 SMALL = [
     "--experiment",
@@ -74,6 +78,11 @@ def test_abbreviated_flags_are_rejected():
 def test_bad_k_list(capsys):
     assert main(SMALL[:-4] + ["--k", "5,ten"]) == 1
     assert "comma-separated integers" in capsys.readouterr().err
+
+
+def test_empty_map_token(capsys):
+    assert main(SMALL + ["--map", "rp,,trp"]) == 1
+    assert "--map expects comma-separated map kinds, got 'rp,,trp'" in capsys.readouterr().err
 
 
 def test_bad_dims_format(capsys):
@@ -202,3 +211,26 @@ def test_identity_map_allowed_for_distance(tmp_path):
     assert main(args) == 0
     rows = out.read_text().splitlines()[1:]
     assert all(row.split(",")[9] == "1" for row in rows)
+
+
+def test_order_4_sketch_smoke_run(tmp_path, capsys):
+    # A 5^4 Tucker tensor unfolded to 5 x 125; at k = 5 the sketch spans every row.
+    out = tmp_path / "o4.csv"
+    args = ["--experiment", "sketch", "--dims", "5x5x5", "--order", "4", "--k", "2,5",
+            "--reps", "2", "--T", "2", "--out", str(out)]
+    assert main(args) == 0
+    assert "wrote 12 records" in capsys.readouterr().out
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert {(r[3], r[4]) for r in rows} == {("125", "5x5x5")}
+    errors = {k: [float(r[9]) for r in rows if r[5] == k] for k in ("2", "5")}
+    assert all(0.0 < e < 1.0 for e in errors["2"])
+    assert all(e < 1e-12 for e in errors["5"])
+
+
+def test_readme_commands_are_valid_configs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line for line in block.splitlines() if line.startswith("trp-bench ")]
+    assert len(commands) >= 5
+    for line in commands:
+        _validate(build_config(shlex.split(line)[1:]))

@@ -3,15 +3,27 @@ import os
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
+from tensorproj.cli import build_config
+from tensorproj.distributions import EntryDistribution, SeedSpec
 from tensorproj.experiments import (
     CSV_HEADER,
+    SKETCH_CORE_RANK,
     ConfigError,
     ExperimentConfig,
     ExperimentRecord,
+    _validate,
     read_csv,
     run_experiment,
     write_csv,
+)
+from tensorproj.maps import build_conventional, build_ensemble, build_trp
+from tensorproj.sketch import (
+    averaged_low_rank_approx,
+    low_rank_approx,
+    relative_error,
+    tucker_synthetic,
 )
 
 
@@ -57,6 +69,13 @@ def make_config(**overrides):
         ),
         (dict(experiment="sketch", k_sweep=(20,)), "cannot exceed the matrix side"),
         (dict(experiment="sketch", dims=(2, 2)), "too small for the synthetic core"),
+        (dict(order=1), "order must be at least 2, got 1"),
+        (dict(order=3), "order 3 applies only to the sketch experiment"),
+        (dict(experiment="sketch", dims=(6, 7), order=3), r"d=42 is not s\^2"),
+        # sqrt(10**10 - 1) lies within 1e-5 of 10**5: only an integer check rejects it.
+        (dict(experiment="sketch", dims=(10**5 + 1, 10**5 - 1), order=3), r"is not s\^2"),
+        (dict(experiment="sketch", dims=(6, 6), order=3, k_sweep=(7,)), "matrix side s=6"),
+        (dict(experiment="sketch", dims=(4, 4), order=3), "matrix side 4 too small"),
     ],
 )
 def test_config_rejections(overrides, match):
@@ -66,6 +85,11 @@ def test_config_rejections(overrides, match):
 
 def test_config_error_is_a_value_error():
     assert issubclass(ConfigError, ValueError)
+
+
+def test_large_exact_powers_are_accepted():
+    _validate(make_config(experiment="sketch", dims=(10**5, 10**5), order=3))
+    _validate(make_config(experiment="sketch", dims=(7**3,) * 3, order=10))
 
 
 # ---------------------------------------------------------------- invariants
@@ -149,6 +173,35 @@ def test_variance_records_match_theory():
     values = np.array([r.value for r in run_experiment(cfg)])
     assert float(values.mean()) == pytest.approx(1.0, abs=0.02)
     assert float(values.var(ddof=1)) == pytest.approx(0.8, rel=0.05)
+
+
+def test_order_3_sketch_records_equal_a_direct_library_computation():
+    cfg = build_config(["--experiment", "sketch", "--dims", "6x6", "--order", "3",
+                        "--k", "2,5", "--reps", "2", "--T", "2", "--seed", "9"])
+    base = SeedSpec(9)
+    target = tucker_synthetic(6, 3, SKETCH_CORE_RANK, base.child(0)).reshape(6, 36)
+    gauss = EntryDistribution.gaussian()
+    want = []
+    for kind_idx, kind in enumerate(("rp", "trp", "trp_t")):
+        for k_idx, k in enumerate((2, 5)):
+            for rep in range(2):
+                seed = base.child(1).child(kind_idx).child(k_idx).child(rep)
+                if kind == "trp_t":
+                    ensemble = build_ensemble((6, 6), k, gauss, 2, seed)
+                    approx = averaged_low_rank_approx(target, ensemble)
+                else:
+                    if kind == "rp":
+                        omega = build_conventional(36, k, gauss, seed.child(0))
+                    else:
+                        omega = build_trp((6, 6), k, gauss, seed.child(0))
+                    approx = low_rank_approx(target, omega)
+                want.append(relative_error(target, approx))
+    records = run_experiment(cfg)
+    assert [(r.map_kind, r.k, r.rep, r.d, r.dims) for r in records] == [
+        (kind, k, rep, 36, (6, 6)) for kind in ("rp", "trp", "trp_t") for k in (2, 5)
+        for rep in range(2)
+    ]
+    assert_array_equal([r.value for r in records], want)
 
 
 def test_sketch_errors_lie_in_unit_interval():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose, assert_array_equal
 
+from oracles import kron_vec, linear_to_multi_index
 from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
-from tensorproj.linalg import kron_vec, linear_to_multi_index
 from tensorproj.maps import (
     ConventionalRp,
     TensorRandomProjection,
+    _check_finite,
     build_conventional,
     build_ensemble,
     build_trp,
@@ -185,6 +187,27 @@ def test_complex_input_is_rejected(make):
         make().apply(x)
     with pytest.raises(ValueError, match="complex"):
         make().apply(np.ones((2, 12), dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", BOUNDARY_MAPS.values(), ids=BOUNDARY_MAPS.keys())
+def test_non_finite_input_is_rejected(make, bad):
+    x = np.ones(12)
+    x[5] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        make().apply(x)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        make().apply(np.vstack([np.ones(12), x]))
+
+
+def test_finite_input_whose_sum_overflows_is_accepted():
+    x = np.full((3, 4), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _check_finite(x) is x
+    x[1, 2] = -math.inf
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        _check_finite(x)
 
 
 # ------------------------------------------------------------------ ensemble

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from oracles import mode_n_unfold
 from tensorproj.distributions import EntryDistribution, SeedSpec
-from tensorproj.linalg import mode_n_unfold, qr_factor
+from tensorproj.linalg import qr_factor
 from tensorproj.maps import build_ensemble, build_trp
 from tensorproj.sketch import (
     RankDeficiencyWarning,

@@ -255,6 +255,22 @@ def test_exact_variance_validation():
         exact_variance(np.ones(7), (4, 2), 3.0, 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_inputs_and_moments_are_rejected(bad):
+    x = np.ones(8)
+    x[3] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        exact_variance(x, (4, 2), 3.0, 2)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        theoretical_variance(x, 3.0, 2)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        squared_norm_samples((4, 2), 3, GAUSS, x, 10, SeedSpec(0))
+    with pytest.raises(ValueError, match="fourth moments must be finite"):
+        exact_variance(np.ones(8), (4, 2), [3.0, bad], 2)
+    with pytest.raises(ValueError, match="fourth moments must be finite"):
+        theoretical_variance(np.ones(8), bad, 2)
+
+
 # ------------------------------------------------------------ mean and SE
 
 
@@ -449,6 +465,19 @@ def test_pair_distances_validation():
         pair_distances(np.ones((1, 4)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_non_finite_points_are_rejected(bad):
+    pts = np.random.default_rng(11).standard_normal((4, 6))
+    pts[2, 1] = bad
+    for estimate in (
+        lambda: pair_distances(pts),
+        lambda: pairwise_distance_ratio(pts, lambda p: p),
+        lambda: cosine_similarity_rmse(pts, lambda rep: (lambda p: p), 2),
+    ):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            estimate()
+
+
 def test_distance_ratio_with_precomputed_original_is_identical():
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((8, 6))
@@ -579,8 +608,9 @@ def test_factory_estimators_reduce_the_per_map_draws():
 
 def test_tail_exceedance_validation():
     factory = make_factory("trp", (2, 2), 5, GAUSS, 1, SeedSpec(0))
-    with pytest.raises(ValueError, match="eps"):
-        tail_exceedance(factory, np.ones(4), -0.1, 5)
+    for eps in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+            tail_exceedance(factory, np.ones(4), eps, 5)
     with pytest.raises(ValueError, match="trials"):
         tail_exceedance(factory, np.ones(4), 0.1, 0)
     with pytest.raises(ValueError, match="x = 0"):
