@@ -2,9 +2,13 @@
 
 The range-finder recipe: sketch ``Z = X @ Omega`` (here, apply the projection
 map to each row of ``X``), orthonormalize ``Q = qr(Z)``, and return the
-projected approximation ``Q Q^T X``.  Averaging the approximations of the T
-replicates of a :class:`~tensorproj.maps.TrpEnsemble` trades a factor T of
-work for a variance reduction that matches the ensemble's own.
+projected approximation ``Q Q^T X`` in factored form, ``LowRank(Q, Q^T X)``;
+``.dense()`` forms the m x n matrix when it is wanted.  Averaging the
+approximations of the T replicates of a :class:`~tensorproj.maps.TrpEnsemble`
+trades a factor T of work for a variance reduction that matches the
+ensemble's own; the mean stays factored too.  :func:`relative_error` scores
+a factored approximation from ``||X||^2``, one ``Q^T X`` and the small Gram
+terms ``Q^T Q`` and ``B``, with no m x n product.
 
 Synthetic targets come from a random Tucker model: an order-N core with
 uniform entries, orthonormal arm matrices, and white noise calibrated to 1%
@@ -15,24 +19,40 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .distributions import SeedSpec
 from .linalg import qr_factor
-from .maps import TrpEnsemble
+from .maps import TrpEnsemble, _check_finite
 from .stats import Projection
 
 NOISE_ENERGY_FRACTION = 0.01
+
+# A factored squared error below this fraction of ||X||^2 (a relative error
+# under 1%) has lost digits to cancellation; it is recomputed densely.
+FACTORED_ERROR_FLOOR = 1e-4
 
 
 class RankDeficiencyWarning(UserWarning):
     """The sketch had fewer independent directions than requested."""
 
 
-def low_rank_approx(x: np.ndarray, omega: Projection) -> np.ndarray:
-    """Rank-<=k approximation Q Q^T X from one sketch Z = omega(rows of X).
+@dataclass(frozen=True, eq=False)
+class LowRank:
+    """The m x n matrix ``q @ b``, kept as its m x r and r x n factors."""
+
+    q: np.ndarray
+    b: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        return self.q @ self.b
+
+
+def low_rank_approx(x: np.ndarray, omega: Projection) -> LowRank:
+    """Rank-<=k approximation ``LowRank(Q, Q^T X)`` from one sketch Z = omega(rows of X).
 
     A rank-deficient sketch is not an error: the computation proceeds with
     the directions that exist and a :class:`RankDeficiencyWarning` reports
@@ -55,21 +75,23 @@ def low_rank_approx(x: np.ndarray, omega: Projection) -> np.ndarray:
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    return q @ (q.T @ x)
+    return LowRank(q, q.T @ x)
 
 
-def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> np.ndarray:
+def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> LowRank:
     """Mean of the sketched approximations of the ensemble's T replicates.
 
-    A plain 1/T average of :func:`low_rank_approx` with each replicate;
-    ``build_ensemble`` draws replicate t from the seed's child stream t, so
-    all factor matrices across replicates are independent.
+    A plain 1/T average of :func:`low_rank_approx` with each replicate, kept
+    factored: the T bases side by side (m x Tk) times the T coefficient
+    blocks stacked and divided by T.  ``build_ensemble`` draws replicate t
+    from the seed's child stream t, so all factor matrices across replicates
+    are independent.
     """
     x = np.asarray(x, dtype=float)
-    acc = np.zeros_like(x)
-    for omega in ensemble.replicates:
-        acc += low_rank_approx(x, omega)
-    return acc / ensemble.T
+    parts = [low_rank_approx(x, omega) for omega in ensemble.replicates]
+    return LowRank(
+        np.hstack([p.q for p in parts]), np.vstack([p.b for p in parts]) / ensemble.T
+    )
 
 
 def multi_mode_product(core: np.ndarray, arms: Sequence[np.ndarray]) -> np.ndarray:
@@ -124,13 +146,40 @@ def tucker_synthetic(
     return signal + scale * noise
 
 
-def relative_error(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Frobenius-norm relative error ||X - Xhat||_F / ||X||_F."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x.shape != x_hat.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    denom = float(np.linalg.norm(x))
-    if denom == 0.0:
+def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
+    """Frobenius-norm relative error ||X - Xhat||_F / ||X||_F.
+
+    For a factored ``x_hat = LowRank(Q, B)`` the squared error is
+    ``||X||^2 - 2 <Q^T X, B> + <(Q^T Q) B, B>``: one ``Q^T X`` and r x r
+    Gram terms, no m x n product, and any ``B`` (not only ``Q^T X``).  When
+    it falls below ``FACTORED_ERROR_FLOOR * ||X||^2`` the subtraction has
+    cancelled too many digits and the dense residual is used instead.
+    """
+    x = _check_finite(np.asarray(x, dtype=float))
+    if isinstance(x_hat, LowRank):
+        q, b = (_check_finite(np.asarray(f, dtype=float)) for f in (x_hat.q, x_hat.b))
+        shapes_match = (
+            x.ndim == q.ndim == b.ndim == 2
+            and q.shape[0] == x.shape[0]
+            and b.shape == (q.shape[1], x.shape[1])
+        )
+        got = f"{q.shape} @ {b.shape}"
+    else:
+        x_hat = _check_finite(np.asarray(x_hat, dtype=float))
+        shapes_match = x.shape == x_hat.shape
+        got = str(x_hat.shape)
+    if not shapes_match:
+        raise ValueError(f"shape mismatch: {x.shape} vs {got}")
+    norm_sq = float(np.vdot(x, x))
+    if norm_sq == 0.0:
         raise ValueError("relative error undefined for a zero reference")
-    return float(np.linalg.norm(x - x_hat)) / denom
+    if isinstance(x_hat, LowRank):
+        err_sq = (
+            norm_sq
+            - 2.0 * float(np.vdot(q.T @ x, b))
+            + float(np.vdot((q.T @ q) @ b, b))
+        )
+        if err_sq >= FACTORED_ERROR_FLOOR * norm_sq:
+            return math.sqrt(err_sq / norm_sq)
+        x_hat = q @ b
+    return float(np.linalg.norm(x - x_hat)) / math.sqrt(norm_sq)

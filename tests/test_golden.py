@@ -33,13 +33,13 @@ GOLDEN = {
     "sketch-gaussian-order3": (
         ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4",
          "--k", "3,6", "--reps", "2", "--T", "2", "--seed", "6"],
-        "1a32ea14265e6d4437ddf204d7335c4f80bde1f7191390360f35687ed38dbca0",
+        "01006822ec993fab509c8a4cc9dd095b70c07efef8e06f90fe4fdda116e40063",
     ),
     # An order-3 Tucker target of side 5, unfolded to 5 x 25.
     "sketch-gaussian-order3-target": (
         ["--experiment", "sketch", "--d", "25", "--dims", "5x5", "--order", "3",
          "--k", "2,4", "--reps", "2", "--T", "2", "--seed", "7"],
-        "22eb35ce797a5e4d894e354c0368ee4f24bc90c4a9cc91d1895d4592b4f72176",
+        "66b6d66d0d92b7291ac9c3eba6734d7ccb7291aa32acf92acb18d3c38df2fee0",
     ),
 }
 

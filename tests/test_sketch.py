@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import mode_n_unfold
-from tensorproj.distributions import EntryDistribution, SeedSpec
+from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
 from tensorproj.linalg import qr_factor
 from tensorproj.maps import build_ensemble, build_trp
 from tensorproj.sketch import (
+    LowRank,
     RankDeficiencyWarning,
     averaged_low_rank_approx,
     low_rank_approx,
@@ -35,7 +38,7 @@ def test_full_sketch_reproduces_the_matrix():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((6, 6))
     omega = build_trp((3, 2), 6, GAUSS, SeedSpec(3))
-    assert_allclose(low_rank_approx(x, omega), x, atol=1e-10)
+    assert_allclose(low_rank_approx(x, omega).dense(), x, atol=1e-10)
 
 
 def test_structured_sketch_equals_materialized_sketch():
@@ -43,8 +46,8 @@ def test_structured_sketch_equals_materialized_sketch():
     x = rng.standard_normal((30, 40))
     trp = build_trp((5, 8), 7, GAUSS, SeedSpec(5))
     dense = trp.materialize()
-    direct = low_rank_approx(x, lambda p: p @ dense / np.sqrt(7))
-    structured = low_rank_approx(x, trp)
+    direct = low_rank_approx(x, lambda p: p @ dense / np.sqrt(7)).dense()
+    structured = low_rank_approx(x, trp).dense()
     assert np.max(np.abs(direct - structured)) <= 1e-10
 
 
@@ -92,14 +95,23 @@ def test_averaging_one_replicate_matches_single_sketch():
     x = rng.standard_normal((14, 6))
     ensemble = build_ensemble((3, 2), 4, GAUSS, 1, SeedSpec(12))
     omega = build_trp((3, 2), 4, GAUSS, SeedSpec(12).child(0))
-    assert_array_equal(averaged_low_rank_approx(x, ensemble), low_rank_approx(x, omega))
+    averaged = averaged_low_rank_approx(x, ensemble)
+    single = low_rank_approx(x, omega)
+    assert_array_equal(averaged.q, single.q)
+    assert_array_equal(averaged.b, single.b)
+    assert_array_equal(averaged.dense(), single.dense())
 
 
 def test_averaging_is_the_mean_over_the_ensemble_replicates():
     x = np.random.default_rng(23).standard_normal((16, 12))
     ensemble = build_ensemble((4, 3), 3, GAUSS, 4, SeedSpec(24))
     approxs = [low_rank_approx(x, rep) for rep in ensemble.replicates]
-    assert_array_equal(averaged_low_rank_approx(x, ensemble), np.mean(approxs, axis=0))
+    averaged = averaged_low_rank_approx(x, ensemble)
+    assert_array_equal(averaged.q, np.hstack([a.q for a in approxs]))
+    assert_array_equal(averaged.b, np.vstack([a.b for a in approxs]) / 4)
+    assert_allclose(
+        averaged.dense(), np.mean([a.dense() for a in approxs], axis=0), rtol=0, atol=1e-12
+    )
 
 
 def test_averaging_preserves_exact_recovery():
@@ -117,7 +129,8 @@ def test_averaged_rank_is_bounded_by_t_times_k():
     x = rng.standard_normal((12, 12))
     ensemble = build_ensemble((4, 3), 2, GAUSS, 3, SeedSpec(16))
     approx = averaged_low_rank_approx(x, ensemble)
-    assert np.linalg.matrix_rank(approx) <= 6
+    assert approx.q.shape == (12, 6)
+    assert np.linalg.matrix_rank(approx.dense()) <= 6
 
 
 def test_averaged_low_rank_validation():
@@ -199,3 +212,121 @@ def test_relative_error_basics():
         relative_error(x, np.ones((2, 3)))
     with pytest.raises(ValueError, match="zero reference"):
         relative_error(np.zeros((2, 2)), x)
+
+
+# ------------------------------------------------------ factored scoring
+
+
+def dense_error(x, approx):
+    return np.linalg.norm(x - approx.dense()) / np.linalg.norm(x)
+
+
+def noisy_low_rank(seed, rows=40, cols=48, rank=4, noise=0.05):
+    rng = np.random.default_rng(seed)
+    x = rank_limited(rng, rows, cols, rank)
+    return x + noise * np.linalg.norm(x) / np.sqrt(x.size) * rng.standard_normal(x.shape)
+
+
+# Sparse factors at these small sizes often give rank-deficient sketches;
+# those are scored like any other.
+@pytest.mark.filterwarnings("ignore::tensorproj.sketch.RankDeficiencyWarning")
+@pytest.mark.parametrize(
+    "dist",
+    [GAUSS, EntryDistribution.sparse_sign(1 / 3), very_sparse_family((6, 8))],
+    ids=["gaussian", "sparse_sign", "very_sparse"],
+)
+@pytest.mark.parametrize("T", [1, 5])
+def test_factored_error_matches_the_dense_residual(dist, T):
+    x = noisy_low_rank(25)
+    for seed in range(4):
+        ensemble = build_ensemble((6, 8), 6, dist, T, SeedSpec(seed))
+        for approx in (
+            averaged_low_rank_approx(x, ensemble),
+            low_rank_approx(x, ensemble.replicates[0]),
+        ):
+            want = dense_error(x, approx)
+            assert 0.01 < want < 1.0
+            assert relative_error(x, approx) == pytest.approx(want, rel=1e-10)
+
+
+def test_factored_error_of_a_rank_deficient_sketch():
+    x = noisy_low_rank(26)
+    g = np.random.default_rng(27).standard_normal((48, 3))
+    with pytest.warns(RankDeficiencyWarning, match="effective rank 3 < 5"):
+        approx = low_rank_approx(x, lambda p: (p @ g)[:, [0, 1, 0, 2, 1]])
+    want = dense_error(x, approx)
+    assert want > 0.01
+    assert relative_error(x, approx) == pytest.approx(want, rel=1e-10)
+
+
+def test_near_exact_factored_error_falls_back_to_the_dense_residual():
+    # A 1e-7 relative error: the Gram-term subtraction alone would keep
+    # only a few of its digits.
+    x = noisy_low_rank(28, noise=1e-7)
+    for T in (1, 5):
+        approx = averaged_low_rank_approx(x, build_ensemble((6, 8), 6, GAUSS, T, SeedSpec(29)))
+        want = dense_error(x, approx)
+        assert want < 1e-6
+        assert relative_error(x, approx) == pytest.approx(want, rel=1e-10)
+
+
+def test_hand_built_low_rank_is_scored_for_its_own_coefficients():
+    rng = np.random.default_rng(30)
+    x = noisy_low_rank(31)
+    q = qr_factor(rng.standard_normal((40, 5))).q
+    skewed = [
+        LowRank(q, 1.3 * (q.T @ x)),
+        LowRank(q, rng.standard_normal((5, 48))),
+        LowRank(rng.standard_normal((40, 7)), rng.standard_normal((7, 48))),
+    ]
+    for approx in skewed:
+        want = dense_error(x, approx)
+        assert want > 0.01
+        assert relative_error(x, approx) == pytest.approx(want, rel=1e-10)
+
+
+def test_factored_scoring_allocates_less_than_one_dense_matrix():
+    x = np.random.default_rng(32).standard_normal((1000, 1000))
+    ensemble = build_ensemble((10, 10, 10), 25, GAUSS, 5, SeedSpec(33))
+    tracemalloc.start()
+    try:
+        relative_error(x, averaged_low_rank_approx(x, ensemble))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_relative_error_rejects_non_finite_input(bad):
+    x = np.ones((3, 4))
+    q, b = np.ones((3, 2)), np.ones((2, 4))
+
+    def poisoned(a):
+        a = a.copy()
+        a[-1, -1] = bad
+        return a
+
+    for args in [
+        ([[bad, 1.0]], np.zeros((1, 2))),
+        (x, poisoned(x)),
+        (poisoned(x), LowRank(q, b)),
+        (x, LowRank(poisoned(q), b)),
+        (x, LowRank(q, poisoned(b))),
+    ]:
+        with pytest.raises(ValueError, match="input holds NaN or infinite entries"):
+            relative_error(*args)
+
+
+def test_relative_error_checks_factor_shapes():
+    x = np.ones((3, 4))
+    for q, b in [
+        (np.ones((2, 2)), np.ones((2, 4))),
+        (np.ones((3, 2)), np.ones((2, 5))),
+        (np.ones((3, 2)), np.ones((3, 4))),
+        (np.ones(3), np.ones((1, 4))),
+    ]:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            relative_error(x, LowRank(q, b))
+    with pytest.raises(ValueError, match="zero reference"):
+        relative_error(np.zeros((3, 4)), LowRank(np.ones((3, 2)), np.ones((2, 4))))
