@@ -99,10 +99,11 @@ def _sample_array(
     if dist.kind == "gaussian":
         return rng.standard_normal(shape)
     u = rng.random(shape)
-    scale = 1.0 / math.sqrt(dist.delta)
-    out = np.zeros(shape)
-    out[u < dist.delta / 2.0] = -scale
-    out[u >= 1.0 - dist.delta / 2.0] = scale
+    half = dist.delta / 2.0
+    # +1, -1 or +0.0 from the two comparisons of u, then one scale.
+    out = (u >= 1.0 - half).astype(float)
+    out -= u < half
+    out *= 1.0 / math.sqrt(dist.delta)
     return out
 
 

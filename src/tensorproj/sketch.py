@@ -6,9 +6,13 @@ projected approximation ``Q Q^T X`` in factored form, ``LowRank(Q, Q^T X)``;
 ``.dense()`` forms the m x n matrix when it is wanted.  Averaging the
 approximations of the T replicates of a :class:`~tensorproj.maps.TrpEnsemble`
 trades a factor T of work for a variance reduction that matches the
-ensemble's own; the mean stays factored too.  :func:`relative_error` scores
-a factored approximation from ``||X||^2``, one ``Q^T X`` and the small Gram
-terms ``Q^T Q`` and ``B``, with no m x n product.
+ensemble's own; the mean stays factored too, and its T bases are projected
+with one ``Q^T X`` over all Tk columns.  :func:`relative_error` scores a
+factored approximation from ``||X||^2``, ``Q^T X`` and the small Gram terms
+``Q^T Q`` and ``B``, with no m x n product.  Each sketch forms ``Q^T X``
+once: scored against the same X object it was built from (and not modified
+in place since), an approximation reuses the product its builder formed;
+any other X and any hand-built :class:`LowRank` are scored as before.
 
 Synthetic targets come from a random Tucker model: an order-N core with
 uniform entries, orthonormal arm matrices, and white noise calibrated to 1%
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,25 +46,35 @@ class RankDeficiencyWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class LowRank:
-    """The m x n matrix ``q @ b``, kept as its m x r and r x n factors."""
+    """The m x n matrix ``q @ b``, kept as its m x r and r x n factors.
+
+    The builders also keep the X they projected (a reference, never a copy)
+    as ``source`` and its projection ``Q^T X`` as ``qtx``, so that
+    :func:`relative_error` handed that same X object forms no second
+    ``Q^T X``.  A hand-built ``LowRank(q, b)`` has neither and is scored from
+    its own factors.
+    """
 
     q: np.ndarray
     b: np.ndarray
+    source: np.ndarray | None = field(default=None, kw_only=True, repr=False)
+    qtx: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     def dense(self) -> np.ndarray:
         return self.q @ self.b
 
 
-def low_rank_approx(x: np.ndarray, omega: Projection) -> LowRank:
-    """Rank-<=k approximation ``LowRank(Q, Q^T X)`` from one sketch Z = omega(rows of X).
-
-    A rank-deficient sketch is not an error: the computation proceeds with
-    the directions that exist and a :class:`RankDeficiencyWarning` reports
-    the effective rank.
-    """
-    x = np.asarray(x, dtype=float)
+def _as_matrix(x: np.ndarray) -> np.ndarray:
+    # asanyarray keeps a float matrix, subclasses included, as the same
+    # object, which relative_error recognises as an approximation's source.
+    x = np.asanyarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("low_rank_approx expects a matrix")
+    return x
+
+
+def _range_basis(x: np.ndarray, omega: Projection) -> np.ndarray:
+    """Orthonormal basis Q of one sketch Z = omega(rows of X); warns if Z is rank deficient."""
     z = np.asarray(omega(x), dtype=float)
     if z.shape[0] != x.shape[0]:
         raise ValueError("sketch must keep one row per input row")
@@ -73,9 +87,22 @@ def low_rank_approx(x: np.ndarray, omega: Projection) -> LowRank:
         warnings.warn(
             f"sketch has effective rank {rank} < {z.shape[1]}",
             RankDeficiencyWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return LowRank(q, q.T @ x)
+    return q
+
+
+def low_rank_approx(x: np.ndarray, omega: Projection) -> LowRank:
+    """Rank-<=k approximation ``LowRank(Q, Q^T X)`` from one sketch Z = omega(rows of X).
+
+    A rank-deficient sketch is not an error: the computation proceeds with
+    the directions that exist and a :class:`RankDeficiencyWarning` reports
+    the effective rank.
+    """
+    x = _as_matrix(x)
+    q = _range_basis(x, omega)
+    qtx = q.T @ x
+    return LowRank(q, qtx, source=x, qtx=qtx)
 
 
 def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> LowRank:
@@ -83,15 +110,16 @@ def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> LowRank:
 
     A plain 1/T average of :func:`low_rank_approx` with each replicate, kept
     factored: the T bases side by side (m x Tk) times the T coefficient
-    blocks stacked and divided by T.  ``build_ensemble`` draws replicate t
-    from the seed's child stream t, so all factor matrices across replicates
-    are independent.
+    blocks stacked and divided by T.  Each replicate gets its own QR (and
+    its own :class:`RankDeficiencyWarning`); the coefficients of all T come
+    from one ``Q^T X`` over the Tk columns.  ``build_ensemble`` draws
+    replicate t from the seed's child stream t, so all factor matrices
+    across replicates are independent.
     """
-    x = np.asarray(x, dtype=float)
-    parts = [low_rank_approx(x, omega) for omega in ensemble.replicates]
-    return LowRank(
-        np.hstack([p.q for p in parts]), np.vstack([p.b for p in parts]) / ensemble.T
-    )
+    x = _as_matrix(x)
+    q = np.hstack([_range_basis(x, omega) for omega in ensemble.replicates])
+    qtx = q.T @ x
+    return LowRank(q, qtx / ensemble.T, source=x, qtx=qtx)
 
 
 def multi_mode_product(core: np.ndarray, arms: Sequence[np.ndarray]) -> np.ndarray:
@@ -152,10 +180,15 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
     For a factored ``x_hat = LowRank(Q, B)`` the squared error is
     ``||X||^2 - 2 <Q^T X, B> + <(Q^T Q) B, B>``: one ``Q^T X`` and r x r
     Gram terms, no m x n product, and any ``B`` (not only ``Q^T X``).  When
-    it falls below ``FACTORED_ERROR_FLOOR * ||X||^2`` the subtraction has
-    cancelled too many digits and the dense residual is used instead.
+    ``x`` is the very object the builder projected (``x_hat.source``), its
+    ``Q^T X`` (``x_hat.qtx``) is reused instead of formed again; this
+    assumes ``x`` was not modified in place since the build.  Any other
+    ``x``, equal copies included, and any hand-built ``LowRank`` get a fresh
+    ``Q^T X``.  When the squared error falls below
+    ``FACTORED_ERROR_FLOOR * ||X||^2`` the subtraction has cancelled too many
+    digits and the dense residual is used instead.
     """
-    x = _check_finite(np.asarray(x, dtype=float))
+    x = _check_finite(np.asanyarray(x, dtype=float))
     if isinstance(x_hat, LowRank):
         q, b = (_check_finite(np.asarray(f, dtype=float)) for f in (x_hat.q, x_hat.b))
         shapes_match = (
@@ -176,7 +209,7 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
     if isinstance(x_hat, LowRank):
         err_sq = (
             norm_sq
-            - 2.0 * float(np.vdot(q.T @ x, b))
+            - 2.0 * float(np.vdot(x_hat.qtx if x_hat.source is x else q.T @ x, b))
             + float(np.vdot((q.T @ q) @ b, b))
         )
         if err_sq >= FACTORED_ERROR_FLOOR * norm_sq:

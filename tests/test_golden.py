@@ -41,6 +41,13 @@ GOLDEN = {
          "--k", "2,4", "--reps", "2", "--T", "2", "--seed", "7"],
         "66b6d66d0d92b7291ac9c3eba6734d7ccb7291aa32acf92acb18d3c38df2fee0",
     ),
+    # Sparse-sign factors and the T-replicate average; some of its sketches
+    # are rank deficient.
+    "sketch-very-sparse-order3": (
+        ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4", "--dist", "very_sparse",
+         "--k", "3,6", "--reps", "2", "--T", "3", "--seed", "8"],
+        "6964c0f684e05b0831788f09e6700efc676a8c78ab165f6742893fe0b5051811",
+    ),
 }
 
 

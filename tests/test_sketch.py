@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,70 @@ def test_hand_built_low_rank_is_scored_for_its_own_coefficients():
         want = dense_error(x, approx)
         assert want > 0.01
         assert relative_error(x, approx) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore::tensorproj.sketch.RankDeficiencyWarning")
+def test_scoring_another_x_forms_its_own_projection():
+    # The builders keep Q^T X of the X they projected; an equal copy or a
+    # different X of the same shape must not be scored with it.
+    x, other = noisy_low_rank(34), noisy_low_rank(35)
+    ensemble = build_ensemble((6, 8), 6, GAUSS, 5, SeedSpec(36))
+    for approx in (
+        low_rank_approx(x, ensemble.replicates[0]),
+        averaged_low_rank_approx(x, ensemble),
+    ):
+        for y in (x.copy(), other):
+            want = np.linalg.norm(y - approx.dense()) / np.linalg.norm(y)
+            assert want > 0.01
+            assert relative_error(y, approx) == pytest.approx(want, rel=1e-10)
+
+
+def counting_matmuls(x):
+    """``x`` viewed as an array that counts the matmuls taking it, or a view of it."""
+
+    class Counted(np.ndarray):
+        matmuls = 0
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                type(self).matmuls += 1
+            plain = [np.asarray(a) for a in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    return x.view(Counted)
+
+
+def test_each_sketch_forms_one_projection_of_x():
+    x = counting_matmuls(noisy_low_rank(37))
+    ensemble = build_ensemble((6, 8), 6, GAUSS, 5, SeedSpec(38))
+    for build in (
+        lambda: low_rank_approx(x, ensemble.replicates[0]),
+        lambda: averaged_low_rank_approx(x, ensemble),
+    ):
+        before = type(x).matmuls
+        approx = build()
+        err = relative_error(x, approx)
+        assert type(x).matmuls - before == 1
+        # Another object, even an equal one, gets a fresh Q^T X.
+        assert relative_error(x.copy(), approx) == pytest.approx(err, rel=1e-12)
+        assert type(x).matmuls - before == 2
+
+
+def test_averaging_warns_once_per_rank_deficient_replicate():
+    x = np.random.default_rng(34).standard_normal((20, 12))
+    ensemble = build_ensemble((4, 3), 4, very_sparse_family((4, 3)), 5, SeedSpec(4))
+
+    def messages(fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fn()
+        assert all(w.category is RankDeficiencyWarning for w in caught)
+        return [str(w.message) for w in caught]
+
+    got = messages(lambda: averaged_low_rank_approx(x, ensemble))
+    assert got == ["sketch has effective rank 2 < 4"] + ["sketch has effective rank 3 < 4"] * 3
+    per_replicate = [messages(lambda: low_rank_approx(x, rep)) for rep in ensemble.replicates]
+    assert got == sum(per_replicate, [])
 
 
 def test_factored_scoring_allocates_less_than_one_dense_matrix():
