@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -210,20 +212,25 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     return records
 
 
-def _record(cfg, kind, k, rep, metric, value, std_error=None) -> ExperimentRecord:
-    return ExperimentRecord(
-        experiment=cfg.experiment,
-        map_kind=kind,
-        dist_kind=cfg.dist_kind,
-        d=cfg.d,
-        dims=cfg.dims,
-        k=k,
-        T=cfg.T if kind == "trp_t" else 1,
-        rep=rep,
-        metric=metric,
-        value=float(value),
-        std_error=None if std_error is None else float(std_error),
-    )
+def _records(
+    cfg: ExperimentConfig,
+    kind: str,
+    k: int,
+    metric: str,
+    values: Sequence[float],
+    std_errors: Sequence[float] | None = None,
+) -> list[ExperimentRecord]:
+    """The records of one (map kind, k) cell, one per rep in rep order."""
+    cell = (cfg.experiment, kind, cfg.dist_kind, cfg.d, cfg.dims, k,
+            cfg.T if kind == "trp_t" else 1)
+    if std_errors is None:
+        return [
+            ExperimentRecord(*cell, rep, metric, float(v)) for rep, v in enumerate(values)
+        ]
+    return [
+        ExperimentRecord(*cell, rep, metric, float(v), float(se))
+        for rep, (v, se) in enumerate(zip(values, std_errors))
+    ]
 
 
 def _run_cell(
@@ -236,7 +243,6 @@ def _run_cell(
     target: np.ndarray | None,
 ) -> list[ExperimentRecord]:
     reps = cfg.replications
-    out: list[ExperimentRecord] = []
 
     if cfg.experiment == "variance":
         dims, T = _kind_layout(cfg, kind)
@@ -245,9 +251,7 @@ def _run_cell(
         samples = squared_norm_samples(
             dims, k, _dist_for(cfg, kind), x, reps, cell_seed, T=T
         )
-        for rep in range(reps):
-            out.append(_record(cfg, kind, k, rep, "sq_norm_ratio", samples[rep]))
-        return out
+        return _records(cfg, kind, k, "sq_norm_ratio", samples.tolist())
 
     if cfg.experiment == "distance":
         assert points is not None
@@ -256,27 +260,24 @@ def _run_cell(
         else:
             dims, T = _kind_layout(cfg, kind)
             factory = make_factory(kind, dims, k, _dist_for(cfg, kind), T, cell_seed)
+        ratios, spreads = [], []
         for rep in range(reps):
             report = pairwise_distance_ratio(points, factory(rep), original)
-            out.append(
-                _record(
-                    cfg, kind, k, rep, "avg_ratio", report.avg_ratio, report.std_ratio
-                )
-            )
-        return out
+            ratios.append(report.avg_ratio)
+            spreads.append(report.std_ratio)
+        return _records(cfg, kind, k, "avg_ratio", ratios, spreads)
 
     if cfg.experiment == "cosine":
         assert points is not None
         dims, T = _kind_layout(cfg, kind)
         factory = make_factory(kind, dims, k, _dist_for(cfg, kind), T, cell_seed)
         result = cosine_similarity_rmse(points, factory, reps)
-        for rep in range(reps):
-            out.append(_record(cfg, kind, k, rep, "rmse", result.per_rep[rep]))
-        return out
+        return _records(cfg, kind, k, "rmse", result.per_rep.tolist())
 
     assert cfg.experiment == "sketch" and target is not None
     dims, T = _kind_layout(cfg, kind)
     dist = _dist_for(cfg, kind)
+    errors = []
     for rep in range(reps):
         rep_seed = cell_seed.child(rep)
         if kind == "trp_t":
@@ -285,10 +286,8 @@ def _run_cell(
         else:
             omega = make_factory(kind, dims, k, dist, 1, rep_seed)(0)
             approx = low_rank_approx(target, omega)
-        out.append(
-            _record(cfg, kind, k, rep, "relative_error", relative_error(target, approx))
-        )
-    return out
+        errors.append(relative_error(target, approx))
+    return _records(cfg, kind, k, "relative_error", errors)
 
 
 def _format_value(value: float | None) -> str:
@@ -305,19 +304,23 @@ def write_csv(records: Sequence[ExperimentRecord], path: str) -> None:
     ``path`` is followed.  The directory must be writable, and the new file
     gets the process's default permissions, not the old file's.
     """
-    rows = sorted(records, key=lambda r: (r.experiment, r.map_kind, r.k, r.rep))
+    rows = sorted(records, key=attrgetter("experiment", "map_kind", "k", "rep"))
+    lines = [CSV_HEADER + "\n"]
+    # Rows of one cell share their first seven columns; format them once.
+    cell = attrgetter("experiment", "map_kind", "dist_kind", "d", "dims", "k", "T")
+    for (experiment, kind, dist, d, dims, k, T), group in groupby(rows, key=cell):
+        prefix = f"{experiment},{kind},{dist},{d},{'x'.join(map(str, dims))},{k},{T},"
+        lines.extend(
+            f"{prefix}{r.rep},{r.metric},{_format_value(r.value)},"
+            f"{_format_value(r.std_error)}\n"
+            for r in group
+        )
+    text = "".join(lines)
     path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as f:
-            f.write(CSV_HEADER + "\n")
-            for r in rows:
-                dims = "x".join(str(d) for d in r.dims)
-                f.write(
-                    f"{r.experiment},{r.map_kind},{r.dist_kind},{r.d},{dims},"
-                    f"{r.k},{r.T},{r.rep},{r.metric},{_format_value(r.value)},"
-                    f"{_format_value(r.std_error)}\n"
-                )
+            f.write(text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

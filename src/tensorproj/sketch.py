@@ -171,7 +171,11 @@ def tucker_synthetic(
     if scale == 0.0:
         return signal
     noise = seed.child(1 + order).generator().standard_normal(signal.shape)
-    return signal + scale * noise
+    # In place, with no signal-sized temporaries; IEEE addition commutes, so
+    # this is bitwise ``signal + scale * noise``.
+    noise *= scale
+    noise += signal
+    return noise
 
 
 def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
@@ -188,7 +192,12 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
     ``FACTORED_ERROR_FLOOR * ||X||^2`` the subtraction has cancelled too many
     digits and the dense residual is used instead.
     """
-    x = _check_finite(np.asanyarray(x, dtype=float))
+    x = np.asanyarray(x, dtype=float)
+    # ||X||^2 is finite exactly when no entry is NaN or infinite, barring
+    # overflow; only a sum that is not finite needs the entrywise test.
+    norm_sq = float(np.vdot(x, x))
+    if not math.isfinite(norm_sq):
+        _check_finite(x)
     if isinstance(x_hat, LowRank):
         q, b = (_check_finite(np.asarray(f, dtype=float)) for f in (x_hat.q, x_hat.b))
         shapes_match = (
@@ -203,7 +212,6 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
         got = str(x_hat.shape)
     if not shapes_match:
         raise ValueError(f"shape mismatch: {x.shape} vs {got}")
-    norm_sq = float(np.vdot(x, x))
     if norm_sq == 0.0:
         raise ValueError("relative error undefined for a zero reference")
     if isinstance(x_hat, LowRank):

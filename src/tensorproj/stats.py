@@ -33,10 +33,12 @@ such as Rademacher signs (m = 1) can put the exact variance below it.
 
 ``squared_norm_samples`` is a vectorized sampler that draws the same law as
 building maps one by one but batches the factor draws, which is what makes
-million-trial grids affordable.  It contracts a whole chunk of drawn maps
-with the maps' own Khatri-Rao kernel (``maps._contract``), batched over the
-draws instead of over inputs.  Every Monte-Carlo statistic here is a numpy
-reduction of one vector of draws.
+million-trial grids affordable.  It draws a whole chunk of maps at once and
+contracts them in blocks of trials with the maps' own Khatri-Rao kernel
+(``maps._contract``), batched over the draws instead of over inputs.  The
+chunk fixes which stream draws which trial; the block only bounds the
+kernel's scratch, so it never changes a value.  Every Monte-Carlo statistic
+here is a numpy reduction of one vector of draws.
 """
 
 from __future__ import annotations
@@ -234,23 +236,56 @@ def empirical_isometry(
     return _stats_from_samples(_factory_samples(map_factory, x, trials), float(x @ x))
 
 
+# Kernel scratch one contraction block may allocate, in float64 entries
+# (4 MB); see :func:`_trial_scratch`.
+_BLOCK_SCRATCH = 2**19
+
+
+def _head_mode(dims: Sequence[int]) -> int:
+    """The mode :func:`_contract_all` puts at the kernel's head.
+
+    The first mode that needs the fewest entries, ``d_h`` plus the
+    ``d / d_h`` tail at order >= 3; at order >= 3 that is a largest mode.
+    """
+    d = math.prod(dims) if len(dims) > 2 else 0  # an order-2 tail is a factor
+    return min(range(len(dims)), key=lambda i: dims[i] + d // dims[i])
+
+
+def _trial_scratch(dims: Sequence[int], k: int, T: int) -> int:
+    """Entries the kernel allocates per trial, at most ``T k (d_h + t + 1)``.
+
+    For the ``m = T`` maps of one trial: the ``(m, d_h, k)`` head product
+    (not formed at order 1), the ``(m, t, k)`` tail block with ``t = d / d_h``
+    at order >= 3 (``t = 0`` below), and the ``(m, k)`` result.
+    """
+    h = _head_mode(dims)
+    tail = math.prod(dims) // dims[h] if len(dims) > 2 else 0
+    return T * k * (dims[h] + tail + 1)
+
+
 def _contract_all(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     """Unscaled ``z[m] = x @ (F_1[m] (.) ... (.) F_N[m])`` for factors ``(m, d_n, k)``.
 
     Kept apart so that ``perfbench/tracing.py`` times it as ``stats.contract``.
-    The kernel allocates ``(m, d_h, k)`` for head mode ``h`` and, at order
-    >= 3, the ``(m, d / d_h, k)`` tail block.  The first mode that needs the
-    fewest entries goes to the head; at order >= 3 that is a largest mode, so
-    the tail fits the ``(m, d / d_N, k)`` block :func:`_default_chunk` allows.
+    The kernel allocates ``(m, d_h, k)`` for the head mode ``h`` that
+    :func:`_head_mode` picks and, at order >= 3, the ``(m, d / d_h, k)`` tail
+    block; :func:`squared_norm_samples` bounds that scratch by passing at
+    most a block of trials, never a whole chunk.
     """
     dims = [f.shape[1] for f in factors]
-    d = math.prod(dims) if len(dims) > 2 else 0  # an order-2 tail is a factor
-    h = min(range(len(dims)), key=lambda i: dims[i] + d // dims[i])
+    h = _head_mode(dims)
     x = np.moveaxis(x.reshape(dims), h, 0).reshape(1, -1)
     return _contract(x, [factors[h], *factors[:h], *factors[h + 1 :]])[:, 0, :]
 
 
 def _default_chunk(dims: Sequence[int], k: int, T: int) -> int:
+    """Trials per chunk; :func:`squared_norm_samples` draws each from one stream.
+
+    The chunk fixes which stream draws which trial, so changing it changes
+    the values.  It keeps one chunk's drawn factors near 8M entries; the
+    kernel's scratch is bounded separately, per block of trials
+    (``_BLOCK_SCRATCH``), which changes no value.
+    """
     per_trial = T * k * (sum(dims) + math.prod(dims) // dims[-1] + 1)
     return max(64, min(65536, 8_000_000 // max(per_trial, 1)))
 
@@ -270,7 +305,10 @@ def squared_norm_samples(
     ``apply`` in a loop, but draws whole chunks of factor matrices at once.
     Chunk c consumes the seed's child stream c, so results do not depend on
     chunk scheduling; they do depend on the chunk size, which
-    :func:`_default_chunk` fixes for each shape.
+    :func:`_default_chunk` fixes for each shape.  Each chunk is contracted
+    and reduced in blocks of whole trials that keep the kernel's scratch
+    near ``_BLOCK_SCRATCH`` entries; every map is contracted on its own,
+    so the block size never changes a value.
     """
     dims = _check_shape(dims, k, T)
     dists = per_factor(dist, len(dims))
@@ -278,19 +316,20 @@ def squared_norm_samples(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     chunk = _default_chunk(dims, k, T)
+    block = max(1, _BLOCK_SCRATCH // _trial_scratch(dims, k, T))
     out = np.empty(trials)
-    start = 0
-    chunk_index = 0
-    while start < trials:
+    for chunk_index, start in enumerate(range(0, trials, chunk)):
         n_trials = min(chunk, trials - start)
         rng = seed.child(chunk_index).generator()
         m = n_trials * T
         factors = [_sample_array(dists[i], (m, dims[i], k), rng) for i in range(len(dims))]
-        z = _contract_all(x, factors)
-        s = z.reshape(n_trials, T, k).sum(axis=1)
-        out[start : start + n_trials] = np.einsum("ij,ij->i", s, s) / (T * k)
-        start += n_trials
-        chunk_index += 1
+        for b in range(0, n_trials, block):
+            e = min(b + block, n_trials)
+            z = _contract_all(x, [f[b * T : e * T] for f in factors])
+            s = z.reshape(e - b, T, k).sum(axis=1)
+            w = out[start + b : start + e]
+            np.einsum("ij,ij->i", s, s, out=w)
+            w /= T * k
     return out
 
 

@@ -262,6 +262,32 @@ def test_csv_rows_are_sorted(tmp_path):
     assert keys == sorted(keys)
 
 
+def test_csv_bytes_equal_a_row_by_row_formatter(tmp_path):
+    # Unsorted rows from several cells and two dims, None and float
+    # standard errors, and a NaN value.
+    base = ExperimentRecord("distance", "trp", "gaussian", 8, (4, 2), 3, 1, 0, "avg_ratio", 0.1)
+    records = [
+        dataclasses.replace(base, map_kind="trp_t", T=5, rep=1, value=1 / 3, std_error=2.5e-300),
+        dataclasses.replace(base, rep=1, value=float("nan")),
+        dataclasses.replace(base, dims=(8,), map_kind="rp", k=10, value=-0.0, std_error=0.25),
+        dataclasses.replace(base, k=2, rep=2, std_error=1e17),
+        base,
+        dataclasses.replace(base, map_kind="trp_t", T=5, value=7.0),
+        dataclasses.replace(base, k=2, rep=0),
+    ]
+
+    def row(r):
+        dims = "x".join(str(d) for d in r.dims)
+        se = "" if r.std_error is None else f"{r.std_error:.17g}"
+        return (f"{r.experiment},{r.map_kind},{r.dist_kind},{r.d},{dims},{r.k},{r.T},"
+                f"{r.rep},{r.metric},{r.value:.17g},{se}\n")
+
+    ordered = sorted(records, key=lambda r: (r.experiment, r.map_kind, r.k, r.rep))
+    path = tmp_path / "cells.csv"
+    write_csv(records, str(path))
+    assert path.read_bytes() == (CSV_HEADER + "\n" + "".join(map(row, ordered))).encode()
+
+
 def test_empty_record_list_gives_header_only(tmp_path):
     path = str(tmp_path / "empty.csv")
     write_csv([], path)

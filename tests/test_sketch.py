@@ -191,6 +191,24 @@ def test_tucker_synthetic_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_tucker_synthetic_is_signal_plus_scaled_noise(order):
+    # Rebuilt from the child streams: core 0, arm n from 1 + n, noise last.
+    side, rank, seed = 9, 4, SeedSpec(23)
+    core = seed.child(0).generator().random((rank,) * order)
+    arms = [
+        qr_factor(seed.child(1 + n).generator().standard_normal((side, rank))).q
+        for n in range(order)
+    ]
+    signal = multi_mode_product(core, arms)
+    scale = np.sqrt(0.01 * float(np.sum(signal**2)) / side**order)
+    noise = seed.child(1 + order).generator().standard_normal(signal.shape)
+    got = tucker_synthetic(side, order, rank, seed)
+    assert np.array_equal(got, signal + scale * noise)
+    assert got.flags.c_contiguous and got.flags.owndata
+    assert np.array_equal(tucker_synthetic(side, order, rank, seed, noise_fraction=0.0), signal)
+
+
 def test_tucker_synthetic_validation():
     with pytest.raises(ValueError, match="side"):
         tucker_synthetic(0, 2, 1, SeedSpec(0))
@@ -381,6 +399,16 @@ def test_relative_error_rejects_non_finite_input(bad):
     ]:
         with pytest.raises(ValueError, match="input holds NaN or infinite entries"):
             relative_error(*args)
+
+
+def test_relative_error_checks_x_first_and_only_rejects_non_finite_entries():
+    # A non-finite X is reported before a shape mismatch or a zero reference.
+    for bad in [np.nan, np.inf, -np.inf]:
+        for x_hat in [np.zeros((2, 2)), LowRank(np.ones((1, 1)), np.ones((1, 2)))]:
+            with pytest.raises(ValueError, match="input holds NaN or infinite entries"):
+                relative_error([[bad, 0.0]], x_hat)
+    # ||X||^2 overflows for this finite X; that is not a non-finite entry.
+    assert relative_error([[1e200, 0.0]], np.array([[1e200, 0.0]])) == 0.0
 
 
 def test_relative_error_checks_factor_shapes():

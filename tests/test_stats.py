@@ -8,12 +8,21 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
+from tensorproj import stats
+from tensorproj.distributions import (
+    EntryDistribution,
+    SeedSpec,
+    _sample_array,
+    per_factor,
+    very_sparse_family,
+)
 from tensorproj.linalg import qr_factor
 from tensorproj.maps import build_trp, make_factory
 from tensorproj.stats import (
+    _BLOCK_SCRATCH,
     _contract_all,
     _default_chunk,
+    _trial_scratch,
     _mean_se,
     cosine_similarity_rmse,
     empirical_isometry,
@@ -335,6 +344,68 @@ def test_contract_of_unbalanced_dims_stays_in_the_chunk_budget():
         tracemalloc.stop()
     assert np.array_equal(z, np.full((m, k), float(math.prod(dims))))
     assert peak < 2 * budget
+
+
+def _whole_chunk_samples(dims, k, dist, x, trials, seed, T, chunk):
+    """The sampler's draws with every chunk contracted in one kernel call."""
+    dists = per_factor(dist, len(dims))
+    out = []
+    for c, start in enumerate(range(0, trials, chunk)):
+        n = min(chunk, trials - start)
+        rng = seed.child(c).generator()
+        factors = [_sample_array(f, (n * T, d_i, k), rng) for f, d_i in zip(dists, dims)]
+        s = _contract_all(x, factors).reshape(n, T, k).sum(axis=1)
+        out.append(np.einsum("ij,ij->i", s, s) / (T * k))
+    return np.concatenate(out)
+
+
+# Orders 1-4; (4, 3) and (2, 3, 4) move a later mode to the kernel's head.
+@pytest.mark.parametrize("dims", [(12,), (4, 3), (2, 3, 4), (2, 3, 2, 3)],
+                         ids=lambda d: "x".join(map(str, d)))
+@pytest.mark.parametrize("dist", CONTRACT_DISTS.values(), ids=CONTRACT_DISTS.keys())
+@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize("x_kind", ["e1", "dense"])
+def test_blocked_contraction_is_bitwise_the_whole_chunk(monkeypatch, dims, dist, T, x_kind):
+    # 25 trials in chunks of 11 end in a partial chunk of 3.  Blocks of
+    # 3 trials end every full chunk in a partial block (11 = 3 + 3 + 3 + 2);
+    # a budget of one entry gives blocks of one trial, a huge one the chunk.
+    k, trials, chunk = 4, 25, 11
+    d = math.prod(dims)
+    x = np.eye(d)[0] if x_kind == "e1" else np.random.default_rng(d).standard_normal(d)
+    monkeypatch.setattr(stats, "_default_chunk", lambda *shape: chunk)
+    want = _whole_chunk_samples(dims, k, dist(dims), x, trials, SeedSpec(31), T, chunk)
+    calls = []
+    kernel = stats._contract_all
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(stats, "_contract_all", counted)
+    for budget, blocks in [(1, 25), (3 * _trial_scratch(dims, k, T), 9), (10**9, 3)]:
+        monkeypatch.setattr(stats, "_BLOCK_SCRATCH", budget)
+        calls.clear()
+        got = squared_norm_samples(dims, k, dist(dims), x, trials, SeedSpec(31), T=T)
+        assert np.array_equal(got, want)
+        assert len(calls) == blocks
+
+
+@pytest.mark.parametrize("dims, k, T", [((2, 2, 1000), 10, 1), ((2, 2, 2), 50, 5)])
+def test_one_default_chunk_peaks_near_its_factor_bytes(dims, k, T):
+    # One default chunk at 2x2x1000, k=10 draws 792 maps, 63.6 MB of
+    # factors.  Contracted whole, its (m, 1000, k) head product alone would
+    # add as much again; in blocks the kernel adds about one budget.  The
+    # T=5 case checks that a block counts all T maps of each trial.
+    trials = _default_chunk(dims, k, T)
+    factor_bytes = 8 * trials * T * k * sum(dims)
+    x = np.random.default_rng(0).standard_normal(math.prod(dims))
+    tracemalloc.start()
+    try:
+        squared_norm_samples(dims, k, GAUSS, x, trials, SeedSpec(3), T=T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < factor_bytes + 2 * 8 * _BLOCK_SCRATCH
 
 
 def test_squared_norm_samples_deterministic():
