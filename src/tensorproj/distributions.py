@@ -100,11 +100,13 @@ def _sample_array(
         return rng.standard_normal(shape)
     u = rng.random(shape)
     half = dist.delta / 2.0
-    # +1, -1 or +0.0 from the two comparisons of u, then one scale.
-    out = (u >= 1.0 - half).astype(float)
-    out -= u < half
-    out *= 1.0 / math.sqrt(dist.delta)
-    return out
+    # +1, -1 or +0.0 from the two comparisons of u, then one scale, all in
+    # u's own buffer: only the boolean masks are extra.
+    low = u < half
+    np.copyto(u, u >= 1.0 - half)
+    u -= low
+    u *= 1.0 / math.sqrt(dist.delta)
+    return u
 
 
 def sample_matrix(

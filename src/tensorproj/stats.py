@@ -33,12 +33,13 @@ such as Rademacher signs (m = 1) can put the exact variance below it.
 
 ``squared_norm_samples`` is a vectorized sampler that draws the same law as
 building maps one by one but batches the factor draws, which is what makes
-million-trial grids affordable.  It draws a whole chunk of maps at once and
-contracts them in blocks of trials with the maps' own Khatri-Rao kernel
-(``maps._contract``), batched over the draws instead of over inputs.  The
-chunk fixes which stream draws which trial; the block only bounds the
-kernel's scratch, so it never changes a value.  Every Monte-Carlo statistic
-here is a numpy reduction of one vector of draws.
+million-trial grids affordable.  It works in blocks of trials: block b draws
+its maps from the seed's child stream b and contracts them at once with the
+maps' own Khatri-Rao kernel (``maps._contract``), batched over the draws
+instead of over inputs.  A block's drawn factors and kernel scratch stay
+near ``_BLOCK_SCRATCH`` entries, and its size depends only on the shape, so
+it is part of the stream definition.  Every Monte-Carlo statistic here is a
+numpy reduction of one vector of draws.
 """
 
 from __future__ import annotations
@@ -236,8 +237,10 @@ def empirical_isometry(
     return _stats_from_samples(_factory_samples(map_factory, x, trials), float(x @ x))
 
 
-# Kernel scratch one contraction block may allocate, in float64 entries
-# (4 MB); see :func:`_trial_scratch`.
+# Float64 entries (4 MB) of drawn factors and kernel scratch that one block
+# of trials may hold, unless one trial alone needs more; see
+# :func:`_trial_scratch`.  It fixes the block size and so the sampler's
+# stream: changing it changes the values.
 _BLOCK_SCRATCH = 2**19
 
 
@@ -252,15 +255,16 @@ def _head_mode(dims: Sequence[int]) -> int:
 
 
 def _trial_scratch(dims: Sequence[int], k: int, T: int) -> int:
-    """Entries the kernel allocates per trial, at most ``T k (d_h + t + 1)``.
+    """Entries one trial holds in a block, ``T k (sum(dims) + d_h + t + 1)``.
 
-    For the ``m = T`` maps of one trial: the ``(m, d_h, k)`` head product
-    (not formed at order 1), the ``(m, t, k)`` tail block with ``t = d / d_h``
-    at order >= 3 (``t = 0`` below), and the ``(m, k)`` result.
+    For the ``m = T`` maps of one trial: the drawn ``(m, d_i, k)`` factors,
+    then the kernel's ``(m, d_h, k)`` head product (not formed at order 1),
+    the ``(m, t, k)`` tail block with ``t = d / d_h`` at order >= 3
+    (``t = 0`` below), and the ``(m, k)`` result.
     """
     h = _head_mode(dims)
     tail = math.prod(dims) // dims[h] if len(dims) > 2 else 0
-    return T * k * (dims[h] + tail + 1)
+    return T * k * (sum(dims) + dims[h] + tail + 1)
 
 
 def _contract_all(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -269,25 +273,13 @@ def _contract_all(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     Kept apart so that ``perfbench/tracing.py`` times it as ``stats.contract``.
     The kernel allocates ``(m, d_h, k)`` for the head mode ``h`` that
     :func:`_head_mode` picks and, at order >= 3, the ``(m, d / d_h, k)`` tail
-    block; :func:`squared_norm_samples` bounds that scratch by passing at
-    most a block of trials, never a whole chunk.
+    block; :func:`squared_norm_samples` calls it once per block of trials,
+    so :func:`_trial_scratch` counts that scratch with the factors.
     """
     dims = [f.shape[1] for f in factors]
     h = _head_mode(dims)
     x = np.moveaxis(x.reshape(dims), h, 0).reshape(1, -1)
     return _contract(x, [factors[h], *factors[:h], *factors[h + 1 :]])[:, 0, :]
-
-
-def _default_chunk(dims: Sequence[int], k: int, T: int) -> int:
-    """Trials per chunk; :func:`squared_norm_samples` draws each from one stream.
-
-    The chunk fixes which stream draws which trial, so changing it changes
-    the values.  It keeps one chunk's drawn factors near 8M entries; the
-    kernel's scratch is bounded separately, per block of trials
-    (``_BLOCK_SCRATCH``), which changes no value.
-    """
-    per_trial = T * k * (sum(dims) + math.prod(dims) // dims[-1] + 1)
-    return max(64, min(65536, 8_000_000 // max(per_trial, 1)))
 
 
 def squared_norm_samples(
@@ -302,34 +294,29 @@ def squared_norm_samples(
     """``trials`` draws of ||f(x)||^2 under independent T-replicate maps.
 
     Distributionally identical to ``build_ensemble(...)`` followed by
-    ``apply`` in a loop, but draws whole chunks of factor matrices at once.
-    Chunk c consumes the seed's child stream c, so results do not depend on
-    chunk scheduling; they do depend on the chunk size, which
-    :func:`_default_chunk` fixes for each shape.  Each chunk is contracted
-    and reduced in blocks of whole trials that keep the kernel's scratch
-    near ``_BLOCK_SCRATCH`` entries; every map is contracted on its own,
-    so the block size never changes a value.
+    ``apply`` in a loop, but draws whole blocks of maps at once.  A block
+    holds ``max(1, _BLOCK_SCRATCH // _trial_scratch(dims, k, T))`` trials,
+    a number fixed by the shape alone.  Block b draws each mode's
+    ``(n T, d_i, k)`` factors, in mode order, from the seed's child stream
+    b, and is contracted in one kernel call.  So runs that share j whole
+    blocks share their draws, while a partial last block draws other
+    values than the same trials inside a whole block.
     """
     dims = _check_shape(dims, k, T)
     dists = per_factor(dist, len(dims))
     x = _check_input(x, dims)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    chunk = _default_chunk(dims, k, T)
     block = max(1, _BLOCK_SCRATCH // _trial_scratch(dims, k, T))
     out = np.empty(trials)
-    for chunk_index, start in enumerate(range(0, trials, chunk)):
-        n_trials = min(chunk, trials - start)
-        rng = seed.child(chunk_index).generator()
-        m = n_trials * T
-        factors = [_sample_array(dists[i], (m, dims[i], k), rng) for i in range(len(dims))]
-        for b in range(0, n_trials, block):
-            e = min(b + block, n_trials)
-            z = _contract_all(x, [f[b * T : e * T] for f in factors])
-            s = z.reshape(e - b, T, k).sum(axis=1)
-            w = out[start + b : start + e]
-            np.einsum("ij,ij->i", s, s, out=w)
-            w /= T * k
+    for b, start in enumerate(range(0, trials, block)):
+        n = min(block, trials - start)
+        rng = seed.child(b).generator()
+        factors = [_sample_array(dists[i], (n * T, dims[i], k), rng) for i in range(len(dims))]
+        s = _contract_all(x, factors).reshape(n, T, k).sum(axis=1)
+        w = out[start : start + n]
+        np.einsum("ij,ij->i", s, s, out=w)
+        w /= T * k
     return out
 
 

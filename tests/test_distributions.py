@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -9,6 +10,7 @@ from numpy.testing import assert_array_equal
 from tensorproj.distributions import (
     EntryDistribution,
     SeedSpec,
+    _sample_array,
     per_factor,
     sample_matrix,
     very_sparse_delta,
@@ -101,6 +103,31 @@ def test_sparse_fourth_moment_monte_carlo(delta):
     mat = sample_matrix(dist, 1000, 1000, SeedSpec(9))
     emp = float(np.mean(mat**4))
     assert abs(emp - 1 / delta) <= 0.05 / delta
+
+
+def _sparse_sign_oracle(delta, shape, rng):
+    """Sparse-sign entries built from masks in a separate output array."""
+    u = rng.random(shape)
+    out = (u >= 1.0 - delta / 2).astype(float)
+    out -= u < delta / 2
+    out *= 1.0 / math.sqrt(delta)
+    return out
+
+
+@pytest.mark.parametrize("delta", [1.0, 1 / 3, 0.02])
+def test_sparse_sign_draw_is_bitwise_the_mask_formula_in_u_own_buffer(delta):
+    shape = (200, 1000, 10)
+    want = _sparse_sign_oracle(delta, shape, SeedSpec(13).generator())
+    tracemalloc.start()
+    try:
+        got = _sample_array(EntryDistribution.sparse_sign(delta), shape,
+                            SeedSpec(13).generator())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Bitwise, so every zero stays +0.0.
+    assert got.tobytes() == want.tobytes()
+    assert peak < 1.3 * got.nbytes
 
 
 def test_bad_shape_rejected():

@@ -30,6 +30,13 @@ GOLDEN = {
          "--k", "2,5", "--reps", "30", "--T", "3", "--seed", "5"],
         "3209048f750e766796742b71faaa4a1a50d7db09f1817db9786017b9d7220027",
     ),
+    # 400 reps span three sampler blocks in the k=50, T=5 cell, so this
+    # digest pins the block size; the 30-rep digest above fits in one block.
+    "variance-gaussian-order3-blocks": (
+        ["--experiment", "variance", "--d", "8", "--dims", "2x2x2",
+         "--k", "10,50", "--reps", "400", "--T", "5", "--seed", "9"],
+        "085111e70c43694775ed5700bc78041bab5a4b801649ca206b5b65bd4231fb0c",
+    ),
     "sketch-gaussian-order3": (
         ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4",
          "--k", "3,6", "--reps", "2", "--T", "2", "--seed", "6"],

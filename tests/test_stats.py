@@ -21,7 +21,6 @@ from tensorproj.maps import build_trp, make_factory
 from tensorproj.stats import (
     _BLOCK_SCRATCH,
     _contract_all,
-    _default_chunk,
     _trial_scratch,
     _mean_se,
     cosine_similarity_rmse,
@@ -331,7 +330,7 @@ def test_contract_kernel_matches_materialized_maps(dims, dist, m):
 def test_contract_of_unbalanced_dims_stays_in_the_chunk_budget():
     # With the first mode at the head, dims (2, 50, 50) would form a
     # (m, 2500, k) tail block, 25 times the (m, d / d_N, k) = (m, 100, k)
-    # block the default chunk size allows for.
+    # block of a largest head mode.
     dims, m, k = (2, 50, 50), 100, 5
     factors = [np.ones((m, n, k)) for n in dims]
     x = np.ones(math.prod(dims))
@@ -346,13 +345,14 @@ def test_contract_of_unbalanced_dims_stays_in_the_chunk_budget():
     assert peak < 2 * budget
 
 
-def _whole_chunk_samples(dims, k, dist, x, trials, seed, T, chunk):
-    """The sampler's draws with every chunk contracted in one kernel call."""
+def _block_stream_samples(dims, k, dist, x, trials, seed, T, block):
+    """Reference sampler: blocks of ``block`` trials, block b drawn from
+    ``seed.child(b)`` mode by mode and contracted in one kernel call."""
     dists = per_factor(dist, len(dims))
     out = []
-    for c, start in enumerate(range(0, trials, chunk)):
-        n = min(chunk, trials - start)
-        rng = seed.child(c).generator()
+    for b, start in enumerate(range(0, trials, block)):
+        n = min(block, trials - start)
+        rng = seed.child(b).generator()
         factors = [_sample_array(f, (n * T, d_i, k), rng) for f, d_i in zip(dists, dims)]
         s = _contract_all(x, factors).reshape(n, T, k).sum(axis=1)
         out.append(np.einsum("ij,ij->i", s, s) / (T * k))
@@ -366,14 +366,12 @@ def _whole_chunk_samples(dims, k, dist, x, trials, seed, T, chunk):
 @pytest.mark.parametrize("T", [1, 3])
 @pytest.mark.parametrize("x_kind", ["e1", "dense"])
 def test_blocked_contraction_is_bitwise_the_whole_chunk(monkeypatch, dims, dist, T, x_kind):
-    # 25 trials in chunks of 11 end in a partial chunk of 3.  Blocks of
-    # 3 trials end every full chunk in a partial block (11 = 3 + 3 + 3 + 2);
-    # a budget of one entry gives blocks of one trial, a huge one the chunk.
-    k, trials, chunk = 4, 25, 11
+    # Block b draws from child stream b.  A budget of one entry gives
+    # blocks of one trial; three trials' entries give 25 = 8 * 3 + 1, a
+    # partial last block; a huge budget gives a single block.
+    k, trials = 4, 25
     d = math.prod(dims)
     x = np.eye(d)[0] if x_kind == "e1" else np.random.default_rng(d).standard_normal(d)
-    monkeypatch.setattr(stats, "_default_chunk", lambda *shape: chunk)
-    want = _whole_chunk_samples(dims, k, dist(dims), x, trials, SeedSpec(31), T, chunk)
     calls = []
     kernel = stats._contract_all
 
@@ -382,7 +380,9 @@ def test_blocked_contraction_is_bitwise_the_whole_chunk(monkeypatch, dims, dist,
         return kernel(*args)
 
     monkeypatch.setattr(stats, "_contract_all", counted)
-    for budget, blocks in [(1, 25), (3 * _trial_scratch(dims, k, T), 9), (10**9, 3)]:
+    for budget, block, blocks in [(1, 1, 25), (3 * _trial_scratch(dims, k, T), 3, 9),
+                                  (10**9, 25, 1)]:
+        want = _block_stream_samples(dims, k, dist(dims), x, trials, SeedSpec(31), T, block)
         monkeypatch.setattr(stats, "_BLOCK_SCRATCH", budget)
         calls.clear()
         got = squared_norm_samples(dims, k, dist(dims), x, trials, SeedSpec(31), T=T)
@@ -390,14 +390,15 @@ def test_blocked_contraction_is_bitwise_the_whole_chunk(monkeypatch, dims, dist,
         assert len(calls) == blocks
 
 
-@pytest.mark.parametrize("dims, k, T", [((2, 2, 1000), 10, 1), ((2, 2, 2), 50, 5)])
+@pytest.mark.parametrize("dims, k, T", [((2, 2, 1000), 10, 1), ((2, 2, 2), 50, 5),
+                                        ((2, 2, 1000), 50, 5)])
 def test_one_default_chunk_peaks_near_its_factor_bytes(dims, k, T):
-    # One default chunk at 2x2x1000, k=10 draws 792 maps, 63.6 MB of
-    # factors.  Contracted whole, its (m, 1000, k) head product alone would
-    # add as much again; in blocks the kernel adds about one budget.  The
-    # T=5 case checks that a block counts all T maps of each trial.
-    trials = _default_chunk(dims, k, T)
-    factor_bytes = 8 * trials * T * k * sum(dims)
+    # Far more trials than one block: the sampler holds the output, one
+    # block's factors and the kernel's scratch, together about one budget.
+    # At 2x2x1000, k=50, T=5 one trial is nearly a whole budget; the T=5
+    # cases check that a block counts all T maps of each trial.
+    block = max(1, _BLOCK_SCRATCH // _trial_scratch(dims, k, T))
+    trials = 20 * block
     x = np.random.default_rng(0).standard_normal(math.prod(dims))
     tracemalloc.start()
     try:
@@ -405,7 +406,7 @@ def test_one_default_chunk_peaks_near_its_factor_bytes(dims, k, T):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < factor_bytes + 2 * 8 * _BLOCK_SCRATCH
+    assert peak < 8 * trials + 2 * 8 * _BLOCK_SCRATCH
 
 
 def test_squared_norm_samples_deterministic():
@@ -415,14 +416,17 @@ def test_squared_norm_samples_deterministic():
     assert np.array_equal(a, b)
     c = squared_norm_samples((4, 2), 3, SPARSE, x, 500, SeedSpec(12), T=2)
     assert not np.array_equal(a, c)
-    # Chunk c draws from child stream c: 400 trials of 158-trial chunks use
-    # three streams, and a run of whole chunks repeats their draws exactly.
-    assert _default_chunk((2, 500), 100, 1) == 158
+    # Block b draws from child stream b: 400 trials in 10-trial blocks use
+    # 40 streams, and a run of whole blocks repeats their draws exactly.  A
+    # partial last block draws its modes from other stream positions.
+    assert _BLOCK_SCRATCH // _trial_scratch((2, 500), 100, 1) == 10
     x = np.random.default_rng(3).standard_normal(1000)
     d = squared_norm_samples((2, 500), 100, GAUSS, x, 400, SeedSpec(4))
     assert d.shape == (400,)
     assert np.array_equal(d, squared_norm_samples((2, 500), 100, GAUSS, x, 400, SeedSpec(4)))
-    assert np.array_equal(d[:316], squared_norm_samples((2, 500), 100, GAUSS, x, 316, SeedSpec(4)))
+    e = squared_norm_samples((2, 500), 100, GAUSS, x, 315, SeedSpec(4))
+    assert np.array_equal(d[:310], e[:310])
+    assert not np.any(d[310:315] == e[310:])
 
 
 def test_squared_norm_samples_validation():
