@@ -15,22 +15,20 @@ from .maps import (
     TrpEnsemble,
     build_conventional,
     build_ensemble,
+    build_map,
     build_trp,
-    make_factory,
 )
 from .stats import (
     CosineRmse,
     DistortionReport,
     IsometryStats,
     cosine_similarity_rmse,
-    empirical_isometry,
     exact_variance,
     isometry_stats,
     pair_distances,
     pairwise_distance_ratio,
     polarization_check,
     squared_norm_samples,
-    tail_exceedance,
     theoretical_variance,
 )
 from .sketch import (
@@ -71,16 +69,15 @@ __all__ = [
     "averaged_low_rank_approx",
     "build_conventional",
     "build_ensemble",
+    "build_map",
     "build_trp",
     "cosine_similarity_rmse",
-    "empirical_isometry",
     "exact_variance",
     "gen_synthetic",
     "isometry_stats",
     "khatri_rao",
     "load_mnist",
     "low_rank_approx",
-    "make_factory",
     "multi_mode_product",
     "pair_distances",
     "pairwise_distance_ratio",
@@ -92,7 +89,6 @@ __all__ = [
     "run_experiment",
     "sample_matrix",
     "squared_norm_samples",
-    "tail_exceedance",
     "theoretical_variance",
     "tucker_synthetic",
     "very_sparse_delta",

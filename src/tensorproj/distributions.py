@@ -77,9 +77,15 @@ class SeedSpec:
     path: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        for i in (self.base_seed, *self.path):
+            if not isinstance(i, (int, np.integer)):
+                raise ValueError(
+                    "base_seed and path entries must be integers, "
+                    f"got base_seed={self.base_seed!r}, path={self.path!r}"
+                )
         if not 0 <= self.base_seed < 2**64:
             raise ValueError("base_seed must fit in an unsigned 64-bit integer")
-        if any(i < 0 for i in self.path):
+        if min(self.path, default=0) < 0:
             raise ValueError("path indices must be non-negative")
 
     def child(self, index: int) -> "SeedSpec":

@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import gen_synthetic, load_mnist
 from .distributions import EntryDistribution, SeedSpec, very_sparse_family
-from .maps import MAP_KINDS, build_ensemble, make_factory
+from .maps import MAP_KINDS, build_map
 from .sketch import (
     averaged_low_rank_approx,
     low_rank_approx,
@@ -243,48 +243,46 @@ def _run_cell(
     target: np.ndarray | None,
 ) -> list[ExperimentRecord]:
     reps = cfg.replications
+    dims, T = _kind_layout(cfg, kind)
+    dist = _dist_for(cfg, kind)
 
     if cfg.experiment == "variance":
-        dims, T = _kind_layout(cfg, kind)
         x = np.zeros(cfg.d)
         x[0] = 1.0
-        samples = squared_norm_samples(
-            dims, k, _dist_for(cfg, kind), x, reps, cell_seed, T=T
-        )
+        samples = squared_norm_samples(dims, k, dist, x, reps, cell_seed, T=T)
         return _records(cfg, kind, k, "sq_norm_ratio", samples.tolist())
+
+    # Map rep of a cell is drawn from the cell seed's child stream rep.
+    if kind == "identity":
+        maps = [lambda x: x] * reps
+    else:
+        maps = (build_map(kind, dims, k, dist, T, cell_seed.child(rep)) for rep in range(reps))
 
     if cfg.experiment == "distance":
         assert points is not None
-        if kind == "identity":
-            factory = lambda i: (lambda x: x)
-        else:
-            dims, T = _kind_layout(cfg, kind)
-            factory = make_factory(kind, dims, k, _dist_for(cfg, kind), T, cell_seed)
         ratios, spreads = [], []
-        for rep in range(reps):
-            report = pairwise_distance_ratio(points, factory(rep), original)
+        # map() drops each map before the next is built; a loop variable
+        # would hold two dense maps at once.
+        for report in map(lambda f: pairwise_distance_ratio(points, f, original), maps):
             ratios.append(report.avg_ratio)
             spreads.append(report.std_ratio)
         return _records(cfg, kind, k, "avg_ratio", ratios, spreads)
 
     if cfg.experiment == "cosine":
         assert points is not None
-        dims, T = _kind_layout(cfg, kind)
-        factory = make_factory(kind, dims, k, _dist_for(cfg, kind), T, cell_seed)
-        result = cosine_similarity_rmse(points, factory, reps)
+        result = cosine_similarity_rmse(points, maps)
         return _records(cfg, kind, k, "rmse", result.per_rep.tolist())
 
     assert cfg.experiment == "sketch" and target is not None
-    dims, T = _kind_layout(cfg, kind)
-    dist = _dist_for(cfg, kind)
     errors = []
     for rep in range(reps):
         rep_seed = cell_seed.child(rep)
         if kind == "trp_t":
-            ensemble = build_ensemble(dims, k, dist, T, rep_seed)
+            ensemble = build_map(kind, dims, k, dist, T, rep_seed)
             approx = averaged_low_rank_approx(target, ensemble)
         else:
-            omega = make_factory(kind, dims, k, dist, 1, rep_seed)(0)
+            # Single-map sketches draw from child 0 of the rep's stream.
+            omega = build_map(kind, dims, k, dist, T, rep_seed.child(0))
             approx = low_rank_approx(target, omega)
         errors.append(relative_error(target, approx))
     return _records(cfg, kind, k, "relative_error", errors)

@@ -19,6 +19,10 @@ Storage drops from ``k * d`` for a dense map to ``k * sum(d_i)``.
 map stays an expected isometry while the fourth-moment part of the squared
 norm variance shrinks by ``1/T``.  ``ConventionalRp`` is the unstructured
 dense baseline (structurally the N=1 special case).
+
+Maps are built one at a time, by kind: :func:`build_map` returns the one
+map of a kind drawn from a seed, and a replicated run builds map i from the
+seed's child stream i.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -303,31 +307,27 @@ def build_conventional(
     return ConventionalRp(sample_matrix(dist, d, k, seed), dist)
 
 
-ProjectionMap = TensorRandomProjection | TrpEnsemble | ConventionalRp
-
-
-def make_factory(
+def build_map(
     kind: str,
     dims: Sequence[int],
     k: int,
     dist: EntryDistribution | Sequence[EntryDistribution],
     T: int,
     seed: SeedSpec,
-) -> Callable[[int], ProjectionMap]:
-    """Indexed family of independent maps of one kind, for replicated runs.
+) -> TensorRandomProjection | TrpEnsemble | ConventionalRp:
+    """The one map of ``kind`` drawn from ``seed``.
 
-    ``factory(i)`` builds the i-th map from the seed's child stream ``i``;
-    kinds are ``"rp"`` (dense on the flattened input), ``"trp"`` and
-    ``"trp_t"`` (ensemble of T replicates).
+    Kinds are ``"rp"`` (dense on the flattened input of ``prod(dims)``
+    entries), ``"trp"`` and ``"trp_t"`` (ensemble of T replicates); T
+    applies only to ``"trp_t"``.  Replicated runs build map i from the
+    seed's child stream i.
     """
-    dims = tuple(int(d) for d in dims)
-    d = math.prod(dims)
     if kind == "rp":
         if not isinstance(dist, EntryDistribution):
             raise ValueError("a dense projection takes a single distribution")
-        return lambda i: build_conventional(d, k, dist, seed.child(i))
+        return build_conventional(math.prod(int(d) for d in dims), k, dist, seed)
     if kind == "trp":
-        return lambda i: build_trp(dims, k, dist, seed.child(i))
+        return build_trp(dims, k, dist, seed)
     if kind == "trp_t":
-        return lambda i: build_ensemble(dims, k, dist, T, seed.child(i))
+        return build_ensemble(dims, k, dist, T, seed)
     raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")

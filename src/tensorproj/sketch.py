@@ -157,8 +157,10 @@ def tucker_synthetic(
         raise ValueError(
             f"core rank must lie in 1..{side} (the side length), got {core_rank}"
         )
-    if noise_fraction < 0.0:
-        raise ValueError(f"noise fraction must be non-negative, got {noise_fraction}")
+    if not 0.0 <= noise_fraction < math.inf:
+        raise ValueError(
+            f"noise fraction must be finite and non-negative, got {noise_fraction}"
+        )
     core = seed.child(0).generator().random((core_rank,) * order)
     arms = []
     for n in range(order):

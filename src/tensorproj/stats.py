@@ -40,6 +40,10 @@ instead of over inputs.  A block's drawn factors and kernel scratch stay
 near ``_BLOCK_SCRATCH`` entries, and its size depends only on the shape, so
 it is part of the stream definition.  Every Monte-Carlo statistic here is a
 numpy reduction of one vector of draws.
+
+The distance and cosine estimators score maps built one at a time, by kind
+(:func:`tensorproj.maps.build_map`): ``pairwise_distance_ratio`` scores one
+map and ``cosine_similarity_rmse`` one RMSE per map of an iterable.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -55,7 +59,6 @@ from .distributions import EntryDistribution, SeedSpec, _sample_array, per_facto
 from .maps import _check_finite, _check_input, _check_shape, _contract
 
 Projection = Callable[[np.ndarray], np.ndarray]
-MapFactory = Callable[[int], Projection]
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def theoretical_variance(
     variance; with every fourth moment at least 3 this closed form is its
     lower bound (see the module docstring).
     """
-    if np.isscalar(fourth_moments):
+    if np.ndim(fourth_moments) == 0:
         fourth_moments = [fourth_moments]
     moments = _check_moments(fourth_moments)
     x = _check_finite(np.asarray(x, dtype=float).ravel())
@@ -155,7 +158,7 @@ def exact_variance(
     for one factor and for x on one coordinate axis; with every fourth
     moment at least 3 it is at least as large otherwise.
     """
-    if np.isscalar(fourth_moments):
+    if np.ndim(fourth_moments) == 0:
         fourth_moments = [fourth_moments] * len(dims)
     moments = _check_moments(fourth_moments)
     if len(moments) != len(dims):
@@ -191,50 +194,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float, int]:
         return math.nan, math.nan, 0
     se = math.sqrt(float(v.var(ddof=1)) / v.size) if v.size > 1 else 0.0
     return float(v.mean()), se, int(v.size)
-
-
-def _stats_from_samples(w: np.ndarray, x_sq_norm: float) -> IsometryStats:
-    """Summary of at least two draws ``w`` of ||f(x)||^2 for ||x||^2 = ``x_sq_norm``."""
-    var = float(w.var(ddof=1))
-    if x_sq_norm == 0.0:
-        return IsometryStats(
-            mean_sq_norm_ratio=math.nan,
-            var_sq_norm=var,
-            trials=int(w.size),
-            std_error_mean=math.nan,
-            degenerate=True,
-        )
-    return IsometryStats(
-        mean_sq_norm_ratio=float(w.mean()) / x_sq_norm,
-        var_sq_norm=var,
-        trials=int(w.size),
-        std_error_mean=math.sqrt(var) / (x_sq_norm * math.sqrt(w.size)),
-        degenerate=False,
-    )
-
-
-def _factory_samples(map_factory: MapFactory, x: np.ndarray, trials: int) -> np.ndarray:
-    """||f_i(x)||^2 for the maps ``f_i = map_factory(i)``, i < ``trials``."""
-    w = np.empty(trials)
-    for i in range(trials):
-        y = map_factory(i)(x)
-        w[i] = float(y @ y)
-    return w
-
-
-def empirical_isometry(
-    map_factory: MapFactory, x: np.ndarray, trials: int
-) -> IsometryStats:
-    """Draw ``trials`` independent maps and summarize ||f(x)||^2.
-
-    ``map_factory(i)`` must return the i-th independent map.  A zero input is
-    legal but flagged: every projection of it is zero, so the ratio to
-    ||x||^2 is undefined.
-    """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials for a variance, got {trials}")
-    x = np.asarray(x, dtype=float).ravel()
-    return _stats_from_samples(_factory_samples(map_factory, x, trials), float(x @ x))
 
 
 # Float64 entries (4 MB) of drawn factors and kernel scratch that one block
@@ -329,12 +288,25 @@ def isometry_stats(
     seed: SeedSpec,
     T: int = 1,
 ) -> IsometryStats:
-    """Vectorized counterpart of :func:`empirical_isometry` for structured maps."""
+    """Summary of ``trials`` draws of ||f(x)||^2 from :func:`squared_norm_samples`.
+
+    A zero input is legal but flagged: every projection of it is zero, so
+    the ratio to ||x||^2 is undefined.
+    """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a variance, got {trials}")
     x = np.asarray(x, dtype=float).ravel()
     w = squared_norm_samples(dims, k, dist, x, trials, seed, T=T)
-    return _stats_from_samples(w, float(x @ x))
+    x_sq = float(x @ x)
+    var = float(w.var(ddof=1))
+    if x_sq == 0.0:
+        return IsometryStats(math.nan, var, trials, math.nan, degenerate=True)
+    return IsometryStats(
+        mean_sq_norm_ratio=float(w.mean()) / x_sq,
+        var_sq_norm=var,
+        trials=trials,
+        std_error_mean=math.sqrt(var) / (x_sq * math.sqrt(trials)),
+    )
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -379,6 +351,8 @@ def pairwise_distance_ratio(
                 f"original has shape {original.shape}, "
                 f"{pts.shape[0]} points need {n_pairs} pair distances"
             )
+        if not (original.min() >= 0.0 and original.max() < math.inf):  # NaN fails too
+            raise ValueError("original pair distances must be finite and non-negative")
     projected = pair_distances(project(pts))
     keep = original != 0.0
     ratios = projected[keep] / original[keep]
@@ -396,53 +370,37 @@ def _pair_cosines(rows: np.ndarray, iu: tuple) -> tuple[np.ndarray, np.ndarray]:
     return (unit @ unit.T)[iu], (nonzero[:, None] & nonzero[None, :])[iu]
 
 
-def cosine_similarity_rmse(
-    points: np.ndarray, map_factory: MapFactory, replications: int
-) -> CosineRmse:
+def cosine_similarity_rmse(points: np.ndarray, maps: Iterable[Projection]) -> CosineRmse:
     """RMSE between projected and original pairwise cosine similarities.
 
-    Each replication draws a fresh map via ``map_factory(rep)`` and computes
-    the root-mean-square error over all point pairs; reported is the mean
-    across replications with its standard error.  A zero-norm input point
-    is an error.  A pair with a point the map sends to zero has no projected
-    cosine; such pairs are skipped and counted over all replications.  A
-    draw that leaves no pair (a sparse map can be the zero map) has no RMSE:
-    its ``per_rep`` entry is NaN, and the mean and standard error are taken
-    over the other draws (NaN if there are none).
+    Each map of ``maps``, in order, gives the root-mean-square error over
+    all point pairs; reported is the mean across maps with its standard
+    error.  The maps are applied one at a time, so a generator that builds
+    each on demand holds one map at once.  A zero-norm input point and an
+    empty ``maps`` are errors.  A pair with a point the map sends to zero
+    has no projected cosine; such pairs are skipped and counted over all
+    maps.  A map that leaves no pair (a sparse map can be the zero map) has
+    no RMSE: its ``per_rep`` entry is NaN, and the mean and standard error
+    are taken over the other maps (NaN if there are none).
     """
     pts = _as_points(points)
-    if replications < 1:
-        raise ValueError(f"replications must be positive, got {replications}")
     iu = np.triu_indices(pts.shape[0], k=1)
     true_cos, defined = _pair_cosines(pts, iu)
     if not defined.all():
         raise ValueError("cosine similarity undefined for zero-norm points")
-    per_rep = np.empty(replications)
+    rmse = []
     skipped = 0
-    for rep in range(replications):
-        proj = np.asarray(map_factory(rep)(pts), dtype=float)
+    # map() drops each map before the next is drawn, unlike a loop variable.
+    for proj in map(lambda f: np.asarray(f(pts), dtype=float), maps):
         est_cos, keep = _pair_cosines(proj, iu)
         skipped += keep.size - int(keep.sum())
         err = est_cos[keep] - true_cos[keep]
-        per_rep[rep] = math.sqrt(float(np.mean(err**2))) if err.size else math.nan
+        rmse.append(math.sqrt(float(np.mean(err**2))) if err.size else math.nan)
+    if not rmse:
+        raise ValueError("cosine similarity RMSE needs at least one map")
+    per_rep = np.array(rmse)
     mean, se, _ = _mean_se(per_rep)
     return CosineRmse(mean, se, per_rep, skipped)
-
-
-def tail_exceedance(
-    map_factory: MapFactory, x: np.ndarray, eps: float, trials: int
-) -> float:
-    """Fraction of draws with | ||f(x)||^2 - ||x||^2 | >= eps * ||x||^2."""
-    if not 0.0 <= eps < math.inf:
-        raise ValueError(f"eps must be finite and non-negative, got {eps}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    x = np.asarray(x, dtype=float).ravel()
-    x_sq = float(x @ x)
-    if x_sq == 0.0:
-        raise ValueError("tail exceedance undefined for x = 0")
-    w = _factory_samples(map_factory, x, trials)
-    return np.count_nonzero(np.abs(w - x_sq) >= eps * x_sq) / trials
 
 
 def polarization_check(project: Projection, x: np.ndarray, y: np.ndarray) -> float:

@@ -1,13 +1,15 @@
-"""Index-convention oracles for the tests: Kronecker vectors, 1-based
-multi-index/linear bijections and mode-n unfolding.
+"""Oracles for the tests: Kronecker vectors, 1-based multi-index/linear
+bijections, mode-n unfolding, and a per-map Monte-Carlo loop.
 
-They spell out the index convention of :mod:`tensorproj.linalg` (last mode
-fastest, numpy's C order) directly, so the tests can check the library's
-kernels against them.
+The index oracles spell out the index convention of :mod:`tensorproj.linalg`
+(last mode fastest, numpy's C order) directly, so the tests can check the
+library's kernels against them.  :func:`per_map_sq_norms` applies whole
+maps one at a time, the independent counterpart of the blocked sampler
+:func:`tensorproj.stats.squared_norm_samples`.
 """
 
 import math
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -63,3 +65,15 @@ def mode_n_unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
         raise IndexError(f"mode {mode} out of range 1..{tensor.ndim}")
     moved = np.moveaxis(tensor, mode - 1, 0)
     return moved.reshape(tensor.shape[mode - 1], -1)
+
+
+def per_map_sq_norms(
+    maps: Iterable[Callable[[np.ndarray], np.ndarray]], x: np.ndarray
+) -> np.ndarray:
+    """||f(x)||^2 for each map f of ``maps``, one map and one apply at a time.
+
+    Built maps share only the law with the vectorized sampler, not its
+    stream, so agreement with it is statistical.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    return np.array([float(y @ y) for y in (f(x) for f in maps)])

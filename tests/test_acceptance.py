@@ -19,8 +19,8 @@ from tensorproj.experiments import ExperimentConfig, run_experiment
 from tensorproj.maps import (
     build_conventional,
     build_ensemble,
+    build_map,
     build_trp,
-    make_factory,
 )
 from tensorproj.sketch import (
     averaged_low_rank_approx,
@@ -239,8 +239,8 @@ def _cosine_table(points, dims, k, seed):
     means = {}
     for i, kind in enumerate(("rp", "trp", "trp_t")):
         layout = (points.shape[1],) if kind == "rp" else dims
-        factory = make_factory(kind, layout, k, GAUSS, 5, seed.child(i))
-        means[kind] = cosine_similarity_rmse(points, factory, 100).mean_rmse
+        maps = (build_map(kind, layout, k, GAUSS, 5, seed.child(i).child(r)) for r in range(100))
+        means[kind] = cosine_similarity_rmse(points, maps).mean_rmse
     return means
 
 
@@ -313,7 +313,7 @@ def test_criterion_10_sketching_error_decays_and_averaging_helps():
                         target, build_ensemble((30, 30), k, GAUSS, 5, seed)
                     )
                 else:
-                    omega = make_factory(kind, dims, k, GAUSS, 1, seed)(0)
+                    omega = build_map(kind, dims, k, GAUSS, 1, seed.child(0))
                     approx = low_rank_approx(target, omega)
                 errs[kind][k].append(relative_error(target, approx))
     ok = True
@@ -347,7 +347,7 @@ def test_criterion_11_polarization_identity_all_map_kinds():
     worst = 0.0
     kinds = ("rp", "trp", "trp_t")
     for t in range(100):
-        proj = make_factory(kinds[t % 3], (4, 3), 6, GAUSS, 3, SeedSpec(4001).child(t))(0)
+        proj = build_map(kinds[t % 3], (4, 3), 6, GAUSS, 3, SeedSpec(4001).child(t).child(0))
         x = rng.standard_normal(12)
         y = rng.standard_normal(12)
         scale = (np.linalg.norm(x) + np.linalg.norm(y)) ** 2

@@ -149,6 +149,16 @@ def test_seed_spec_validation():
         SeedSpec(0).child(-1)
 
 
+@pytest.mark.parametrize("base, path", [(1.5, ()), ("3", ()), (0, (1, 2.0)), (0, (None,))])
+def test_seed_spec_rejects_non_integers_when_constructed(base, path):
+    # SeedSpec(1.5) used to construct and fail later inside numpy.
+    with pytest.raises(ValueError, match="must be integers"):
+        SeedSpec(base, path)
+    assert SeedSpec(np.int64(3), (np.uint8(1),)).generator().random() == (
+        SeedSpec(3, (1,)).generator().random()
+    )
+
+
 def test_child_appends_to_path():
     seed = SeedSpec(9).child(2).child(0)
     assert seed.base_seed == 9

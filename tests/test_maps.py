@@ -15,8 +15,8 @@ from tensorproj.maps import (
     _check_finite,
     build_conventional,
     build_ensemble,
+    build_map,
     build_trp,
-    make_factory,
 )
 from tensorproj.stats import exact_variance, squared_norm_samples, theoretical_variance
 
@@ -404,23 +404,36 @@ def test_conventional_rp_applies_scaled_matrix():
         build_conventional(0, 4, GAUSS, SeedSpec(0))
 
 
-def test_make_factory_kinds():
-    fac = make_factory("trp", (3, 3), 2, GAUSS, 1, SeedSpec(14))
+def test_build_map_kinds():
+    fac = lambda i: build_map("trp", (3, 3), 2, GAUSS, 1, SeedSpec(14).child(i))
     assert isinstance(fac(0), TensorRandomProjection)
     assert_array_equal(fac(1).factors[0], fac(1).factors[0])
     assert not np.array_equal(fac(0).factors[0], fac(1).factors[0])
-    rp = make_factory("rp", (3, 3), 2, GAUSS, 1, SeedSpec(14))(0)
+    rp = build_map("rp", (3, 3), 2, GAUSS, 1, SeedSpec(14).child(0))
     assert isinstance(rp, ConventionalRp)
     assert rp.d == 9
-    ens = make_factory("trp_t", (3, 3), 2, GAUSS, 4, SeedSpec(14))(0)
+    ens = build_map("trp_t", (3, 3), 2, GAUSS, 4, SeedSpec(14).child(0))
     assert ens.T == 4
 
 
-def test_make_factory_rejects_bad_requests():
+def test_build_map_is_its_kind_builder_on_the_same_seed():
+    seed = SeedSpec(15).child(2)
+    dense = build_map("rp", (3, 4), 5, SPARSE, 7, seed)
+    assert_array_equal(dense.matrix, build_conventional(12, 5, SPARSE, seed).matrix)
+    trp = build_map("trp", (3, 4), 5, SPARSE, 7, seed)
+    for got, want in zip(trp.factors, build_trp((3, 4), 5, SPARSE, seed).factors):
+        assert_array_equal(got, want)
+    ens = build_map("trp_t", (3, 4), 5, SPARSE, 2, seed)
+    for got, want in zip(ens.replicates, build_ensemble((3, 4), 5, SPARSE, 2, seed).replicates):
+        for a, b in zip(got.factors, want.factors):
+            assert_array_equal(a, b)
+
+
+def test_build_map_rejects_bad_requests():
     with pytest.raises(ValueError, match="single distribution"):
-        make_factory("rp", (3, 3), 2, (GAUSS, GAUSS), 1, SeedSpec(0))
+        build_map("rp", (3, 3), 2, (GAUSS, GAUSS), 1, SeedSpec(0))
     with pytest.raises(ValueError, match="unknown map kind"):
-        make_factory("dct", (3, 3), 2, GAUSS, 1, SeedSpec(0))
+        build_map("dct", (3, 3), 2, GAUSS, 1, SeedSpec(0))
 
 
 def test_factor_column_count_must_agree():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -220,6 +221,13 @@ def test_tucker_synthetic_validation():
         tucker_synthetic(4, 2, 0, SeedSpec(0))
     with pytest.raises(ValueError, match="noise fraction"):
         tucker_synthetic(4, 2, 2, SeedSpec(0), noise_fraction=-0.01)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tucker_synthetic_rejects_non_finite_noise_fraction(bad):
+    # nan used to return an all-NaN target, inf one of infinities.
+    with pytest.raises(ValueError, match=f"finite and non-negative, got {bad}"):
+        tucker_synthetic(6, 2, 2, SeedSpec(0), noise_fraction=bad)
 
 
 def test_relative_error_basics():

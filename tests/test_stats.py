@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
+from oracles import per_map_sq_norms
 from tensorproj import stats
 from tensorproj.distributions import (
     EntryDistribution,
@@ -17,21 +18,19 @@ from tensorproj.distributions import (
     very_sparse_family,
 )
 from tensorproj.linalg import qr_factor
-from tensorproj.maps import build_trp, make_factory
+from tensorproj.maps import build_ensemble, build_map, build_trp
 from tensorproj.stats import (
     _BLOCK_SCRATCH,
     _contract_all,
     _trial_scratch,
     _mean_se,
     cosine_similarity_rmse,
-    empirical_isometry,
     exact_variance,
     isometry_stats,
     pair_distances,
     pairwise_distance_ratio,
     polarization_check,
     squared_norm_samples,
-    tail_exceedance,
     theoretical_variance,
 )
 
@@ -65,6 +64,15 @@ def test_zero_input_has_zero_variance():
 def test_scalar_moment_equals_singleton_sequence():
     x = np.arange(1.0, 6.0)
     assert theoretical_variance(x, 3.0, 4) == theoretical_variance(x, [3.0], 4)
+
+
+def test_zero_dim_array_moment_is_a_scalar():
+    # A 0-d array used to raise "iteration over a 0-d array".
+    x = np.arange(1.0, 7.0)
+    assert theoretical_variance(x, np.array(3.0), 4) == theoretical_variance(x, 3.0, 4)
+    assert exact_variance(x, (3, 2), np.array(5.0), 4, T=2) == exact_variance(
+        x, (3, 2), 5.0, 4, T=2
+    )
 
 
 def test_variance_validation():
@@ -327,7 +335,7 @@ def test_contract_kernel_matches_materialized_maps(dims, dist, m):
         assert np.linalg.norm(z[i] - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_contract_of_unbalanced_dims_stays_in_the_chunk_budget():
+def test_contract_of_unbalanced_dims_forms_the_smallest_tail_block():
     # With the first mode at the head, dims (2, 50, 50) would form a
     # (m, 2500, k) tail block, 25 times the (m, d / d_N, k) = (m, 100, k)
     # block of a largest head mode.
@@ -392,7 +400,7 @@ def test_blocked_contraction_is_bitwise_the_whole_chunk(monkeypatch, dims, dist,
 
 @pytest.mark.parametrize("dims, k, T", [((2, 2, 1000), 10, 1), ((2, 2, 2), 50, 5),
                                         ((2, 2, 1000), 50, 5)])
-def test_one_default_chunk_peaks_near_its_factor_bytes(dims, k, T):
+def test_many_blocks_peak_near_one_block_budget(dims, k, T):
     # Far more trials than one block: the sampler holds the output, one
     # block's factors and the kernel's scratch, together about one budget.
     # At 2x2x1000, k=50, T=5 one trial is nearly a whole budget; the T=5
@@ -459,15 +467,15 @@ def test_vectorized_sampler_mean_and_variance():
 def test_per_map_loop_agrees_with_theory():
     e1 = np.zeros(6)
     e1[0] = 1.0
-    factory = make_factory("trp", (3, 2), 10, GAUSS, 1, SeedSpec(21))
-    report = empirical_isometry(factory, e1, 8000)
-    assert abs(report.mean_sq_norm_ratio - 1.0) <= 4 * report.std_error_mean
-    assert report.var_sq_norm == pytest.approx(0.8, rel=0.15)
+    maps = (build_map("trp", (3, 2), 10, GAUSS, 1, SeedSpec(21).child(i)) for i in range(8000))
+    w = per_map_sq_norms(maps, e1)
+    var = float(w.var(ddof=1))
+    assert abs(float(w.mean()) - 1.0) <= 4 * math.sqrt(var / w.size)
+    assert var == pytest.approx(0.8, rel=0.15)
 
 
-def test_empirical_isometry_zero_input_is_degenerate():
-    factory = make_factory("trp", (2, 2), 3, GAUSS, 1, SeedSpec(0))
-    report = empirical_isometry(factory, np.zeros(4), 50)
+def test_isometry_stats_zero_input_is_degenerate():
+    report = isometry_stats((2, 2), 3, GAUSS, np.zeros(4), 50, SeedSpec(0))
     assert report.degenerate
     assert math.isnan(report.mean_sq_norm_ratio)
     assert math.isnan(report.std_error_mean)
@@ -475,9 +483,6 @@ def test_empirical_isometry_zero_input_is_degenerate():
 
 
 def test_isometry_needs_two_trials():
-    factory = make_factory("trp", (2, 2), 3, GAUSS, 1, SeedSpec(0))
-    with pytest.raises(ValueError, match="at least 2 trials"):
-        empirical_isometry(factory, np.ones(4), 1)
     with pytest.raises(ValueError, match="at least 2 trials"):
         isometry_stats((2, 2), 3, GAUSS, np.ones(4), 1, SeedSpec(0))
 
@@ -547,7 +552,7 @@ def test_non_finite_points_are_rejected(bad):
     for estimate in (
         lambda: pair_distances(pts),
         lambda: pairwise_distance_ratio(pts, lambda p: p),
-        lambda: cosine_similarity_rmse(pts, lambda rep: (lambda p: p), 2),
+        lambda: cosine_similarity_rmse(pts, [lambda p: p] * 2),
     ):
         with pytest.raises(ValueError, match="NaN or infinite"):
             estimate()
@@ -573,6 +578,17 @@ def test_distance_ratio_rejects_original_of_wrong_length():
         pairwise_distance_ratio(pts, lambda p: p, np.ones((2, 5)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_distance_ratio_rejects_original_values_that_are_no_distances(bad):
+    # NaN used to give avg_ratio = nan with no pair skipped, and a negative
+    # distance a silently wrong ratio.
+    pts = np.random.default_rng(12).standard_normal((5, 3))
+    original = pair_distances(pts)
+    original[3] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        pairwise_distance_ratio(pts, lambda p: p, original)
+
+
 def test_distance_ratio_counts_duplicates_with_precomputed_original():
     pts = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
     report = pairwise_distance_ratio(pts, lambda p: 2.0 * p, pair_distances(pts))
@@ -590,7 +606,7 @@ def test_distance_ratio_scales_linearly():
 
 def test_cosine_rmse_identity_factory_is_zero():
     pts = np.random.default_rng(9).standard_normal((6, 4))
-    report = cosine_similarity_rmse(pts, lambda rep: (lambda p: p), 3)
+    report = cosine_similarity_rmse(pts, [lambda p: p] * 3)
     assert report.mean_rmse == 0.0
     assert report.std_error == 0.0
     assert np.array_equal(report.per_rep, np.zeros(3))
@@ -598,14 +614,14 @@ def test_cosine_rmse_identity_factory_is_zero():
 
 def test_cosine_rmse_is_scale_invariant():
     pts = np.random.default_rng(10).standard_normal((5, 4))
-    report = cosine_similarity_rmse(pts, lambda rep: (lambda p: 2.0 * p), 2)
+    report = cosine_similarity_rmse(pts, [lambda p: 2.0 * p] * 2)
     assert report.mean_rmse == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cosine_rmse_standard_error():
     pts = np.random.default_rng(11).standard_normal((6, 9))
-    factory = make_factory("trp", (3, 3), 4, GAUSS, 1, SeedSpec(30))
-    report = cosine_similarity_rmse(pts, factory, 4)
+    maps = (build_map("trp", (3, 3), 4, GAUSS, 1, SeedSpec(30).child(i)) for i in range(4))
+    report = cosine_similarity_rmse(pts, maps)
     assert report.per_rep.shape == (4,)
     assert report.std_error == pytest.approx(
         float(report.per_rep.std(ddof=1)) / 2.0, rel=1e-12
@@ -617,14 +633,14 @@ def test_cosine_rmse_skips_pairs_a_map_sends_to_zero():
     pts = np.random.default_rng(13).standard_normal((4, 3))
     # Point 1 goes to zero: its three pairs are skipped, the other three keep
     # their cosines exactly.
-    drop_one = lambda rep: (lambda p: p * np.array([[1.0], [0.0], [1.0], [1.0]]))
-    report = cosine_similarity_rmse(pts, drop_one, 2)
+    drop_one = lambda p: p * np.array([[1.0], [0.0], [1.0], [1.0]])
+    report = cosine_similarity_rmse(pts, [drop_one] * 2)
     assert np.array_equal(report.per_rep, [0.0, 0.0])
     assert report.skipped_pairs == 6
     # A draw that leaves no pair has no RMSE; the mean and standard error
     # come from the other draws.
-    first_off = lambda rep: (lambda p: 0.0 * p if rep == 0 else p + [0.0, 0.0, rep])
-    report = cosine_similarity_rmse(pts, first_off, 3)
+    first_off = [lambda p: 0.0 * p] + [lambda p, r=r: p + [0.0, 0.0, r] for r in (1, 2)]
+    report = cosine_similarity_rmse(pts, first_off)
     assert np.isnan(report.per_rep[0])
     assert np.isfinite(report.per_rep[1:]).all()
     assert report.mean_rmse == pytest.approx(float(report.per_rep[1:].mean()), rel=1e-12)
@@ -632,11 +648,32 @@ def test_cosine_rmse_skips_pairs_a_map_sends_to_zero():
         float(report.per_rep[1:].std(ddof=1)) / math.sqrt(2), rel=1e-12
     )
     assert report.skipped_pairs == 6
-    report = cosine_similarity_rmse(pts, lambda rep: (lambda p: 0.0 * p), 2)
+    report = cosine_similarity_rmse(pts, [lambda p: 0.0 * p] * 2)
     assert np.isnan(report.per_rep).all()
     assert np.isnan(report.mean_rmse) and np.isnan(report.std_error)
     assert report.skipped_pairs == 12
-    assert cosine_similarity_rmse(pts, lambda rep: (lambda p: p), 2).skipped_pairs == 0
+    assert cosine_similarity_rmse(pts, [lambda p: p] * 2).skipped_pairs == 0
+
+
+def test_cosine_rmse_holds_one_map_of_a_generator_at_a_time():
+    alive, peak = set(), []
+
+    class Map:
+        def __init__(self, i):
+            self.i = i
+            alive.add(i)
+            peak.append(len(alive))
+
+        def __del__(self):
+            alive.discard(self.i)
+
+        def __call__(self, p):
+            return 2.0 * p
+
+    pts = np.random.default_rng(14).standard_normal((4, 3))
+    report = cosine_similarity_rmse(pts, (Map(i) for i in range(5)))
+    assert report.per_rep.shape == (5,)
+    assert max(peak) == 1
 
 
 def test_cosine_rmse_validation():
@@ -644,52 +681,31 @@ def test_cosine_rmse_validation():
     with pytest.raises(ValueError, match="zero-norm"):
         bad = pts.copy()
         bad[1] = 0.0
-        cosine_similarity_rmse(bad, lambda rep: (lambda p: p), 2)
-    with pytest.raises(ValueError, match="replications"):
-        cosine_similarity_rmse(pts, lambda rep: (lambda p: p), 0)
+        cosine_similarity_rmse(bad, [lambda p: p] * 2)
+    with pytest.raises(ValueError, match="at least one map"):
+        cosine_similarity_rmse(pts, iter([]))
     with pytest.raises(ValueError, match="two point rows"):
-        cosine_similarity_rmse(pts[:1], lambda rep: (lambda p: p), 2)
+        cosine_similarity_rmse(pts[:1], [lambda p: p] * 2)
 
 
-# --------------------------------------------------------------------- tails
-
-
-def test_tail_exceedance_extremes():
-    x = np.ones(4)
-    factory = make_factory("trp", (2, 2), 5, GAUSS, 1, SeedSpec(40))
-    assert tail_exceedance(factory, x, 0.0, 20) == 1.0
-    assert tail_exceedance(factory, x, 1e9, 20) == 0.0
-
-
-def test_tail_exceedance_monotone_in_eps():
-    x = np.ones(4)
-    factory = make_factory("trp", (2, 2), 5, GAUSS, 1, SeedSpec(41))
-    fracs = [tail_exceedance(factory, x, eps, 200) for eps in (0.1, 0.3, 0.6)]
-    assert fracs[0] >= fracs[1] >= fracs[2]
+# ------------------------------------------------------------ per-map oracle
 
 
 def test_factory_estimators_reduce_the_per_map_draws():
-    # Reference: one ||f_i(x)||^2 per map, counted and averaged in a loop.
+    # Reference: one ||f_i(x)||^2 per map, counted and averaged in a loop,
+    # with map i built from child stream i.
     x = np.random.default_rng(42).standard_normal(6)
-    factory = make_factory("trp_t", (3, 2), 4, SPARSE, 2, SeedSpec(43))
-    draws = [float(y @ y) for y in (factory(i)(x) for i in range(300))]
+    seed = SeedSpec(43)
+    draws = [float(y @ y) for y in (build_ensemble((3, 2), 4, SPARSE, 2, seed.child(i))(x)
+                                    for i in range(300))]
     x_sq = float(x @ x)
     hits = sum(abs(w - x_sq) >= 0.3 * x_sq for w in draws)
-    assert tail_exceedance(factory, x, 0.3, 300) == hits / 300
-    report = empirical_isometry(factory, x, 300)
-    assert report.mean_sq_norm_ratio == pytest.approx(np.mean(draws) / x_sq, rel=1e-12)
-    assert report.var_sq_norm == pytest.approx(np.var(draws, ddof=1), rel=1e-12)
-
-
-def test_tail_exceedance_validation():
-    factory = make_factory("trp", (2, 2), 5, GAUSS, 1, SeedSpec(0))
-    for eps in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError, match="eps must be finite and non-negative"):
-            tail_exceedance(factory, np.ones(4), eps, 5)
-    with pytest.raises(ValueError, match="trials"):
-        tail_exceedance(factory, np.ones(4), 0.1, 0)
-    with pytest.raises(ValueError, match="x = 0"):
-        tail_exceedance(factory, np.zeros(4), 0.1, 5)
+    w = per_map_sq_norms(
+        (build_map("trp_t", (3, 2), 4, SPARSE, 2, seed.child(i)) for i in range(300)), x
+    )
+    assert np.count_nonzero(np.abs(w - x_sq) >= 0.3 * x_sq) / 300 == hits / 300
+    assert float(w.mean()) / x_sq == pytest.approx(np.mean(draws) / x_sq, rel=1e-12)
+    assert float(w.var(ddof=1)) == pytest.approx(np.var(draws, ddof=1), rel=1e-12)
 
 
 # -------------------------------------------------------------- polarization
@@ -698,7 +714,7 @@ def test_tail_exceedance_validation():
 @pytest.mark.parametrize("kind", ["rp", "trp", "trp_t"])
 def test_polarization_identity_holds_for_every_map_kind(kind):
     rng = np.random.default_rng(50)
-    proj = make_factory(kind, (4, 3), 6, GAUSS, 3, SeedSpec(51))(0)
+    proj = build_map(kind, (4, 3), 6, GAUSS, 3, SeedSpec(51).child(0))
     x = rng.standard_normal(12)
     y = rng.standard_normal(12)
     scale = (np.linalg.norm(x) + np.linalg.norm(y)) ** 2
