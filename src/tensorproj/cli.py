@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--map",
         default=DEFAULT_MAPS,
-        help="comma-separated map kinds: rp, trp, trp_t (and identity for distance)",
+        help="comma-separated map kinds: rp, trp, trp_t",
     )
     parser.add_argument("--dist", default="gaussian", choices=DIST_KINDS)
     parser.add_argument("--d", type=int, default=None, help="input dimension")
@@ -105,7 +105,7 @@ def _resolve_dims(
         raise ConfigError("provide --d or --dims")
     if d in DEFAULT_DIMS:
         return DEFAULT_DIMS[d]
-    if all(kind in ("rp", "identity") for kind in map_kinds):
+    if all(kind == "rp" for kind in map_kinds):
         # Dense maps do not care about the factorization.
         return (d,)
     raise ConfigError(f"no default factorization for d={d}; pass --dims")

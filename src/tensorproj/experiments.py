@@ -11,10 +11,15 @@ The sketch target is a noisy random Tucker tensor of order N (``order``,
 default 2) and side s with ``s**(N - 1) = d``, unfolded to an ``s x d``
 matrix; each map projects its d columns.  At N = 2 it is ``d x d``.
 
-Each experiment sweeps map kinds and sketch sizes k and emits one record per
-(map kind, k, replication).  Runs are deterministic functions of the config:
-the base seed fans out per data source, map kind, k and replication, so the
-written CSV is byte-identical across repeated runs.
+Each experiment sweeps map kinds (``rp``, ``trp``, ``trp_t``) and sketch
+sizes k and emits one record per (map kind, k, replication).  A kind's
+factor dims, replicate count T and entry distribution are decided in one
+place, :func:`_layout`.  The data is loaded once per run; a variance cell
+draws its samples in blocks, and every other cell scores one stream of
+maps built one at a time by :func:`tensorproj.maps.build_map`.  Runs are
+deterministic functions of the config: the base seed fans out per data
+source, map kind, k and replication, so the written CSV is byte-identical
+across repeated runs.
 
 CSV format: header ``experiment,map,dist,d,dims,k,T,rep,metric,value,stderr``,
 dims rendered as ``d1xd2x...``, floats with 17 significant digits (lossless
@@ -64,6 +69,9 @@ DEFAULT_DIMS: dict[int, tuple[int, ...]] = {
 }
 
 CSV_HEADER = "experiment,map,dist,d,dims,k,T,rep,metric,value,stderr"
+
+# What the cells of one run share: see :func:`_load_data`.
+_Data = np.ndarray | tuple[np.ndarray, np.ndarray] | None
 
 
 class ConfigError(ValueError):
@@ -116,12 +124,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         )
     if not cfg.map_kinds:
         raise ConfigError("at least one map kind is required")
-    allowed = MAP_KINDS + ("identity",)
     for kind in cfg.map_kinds:
-        if kind not in allowed:
-            raise ConfigError(f"unknown map kind {kind!r}; expected one of {allowed}")
-        if kind == "identity" and cfg.experiment != "distance":
-            raise ConfigError("the identity debug map only applies to distance runs")
+        if kind not in MAP_KINDS:
+            raise ConfigError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
     if not cfg.dims or any(d < 1 for d in cfg.dims):
         raise ConfigError(f"dims must be positive, got {cfg.dims}")
     if not cfg.k_sweep or any(k < 1 for k in cfg.k_sweep):
@@ -158,134 +163,93 @@ def _sketch_side(cfg: ExperimentConfig) -> int | None:
     return side if side ** (cfg.order - 1) == cfg.d else None
 
 
-def _dist_for(cfg: ExperimentConfig, kind: str):
-    """Entry distribution(s) for one map kind; dense maps see the flat dim."""
+def _layout(
+    cfg: ExperimentConfig, kind: str
+) -> tuple[tuple[int, ...], int, EntryDistribution | tuple[EntryDistribution, ...]]:
+    """(factor dims, replicate count T, entry distribution) of one map kind.
+
+    Dense ``rp`` has the one factor of the flat dim d and, when very sparse,
+    the rate 1/sqrt(d); the structured kinds factor ``cfg.dims`` with
+    per-mode rates 1/sqrt(d_i).  Only ``trp_t`` has more than one replicate.
+    """
+    dims = (cfg.d,) if kind == "rp" else cfg.dims
     if cfg.dist_kind == "gaussian":
-        return EntryDistribution.gaussian()
-    if cfg.dist_kind == "sparse":
-        return EntryDistribution.sparse_sign(SPARSE_DELTA)
-    if kind == "rp":
-        return EntryDistribution.very_sparse(cfg.d)
-    return very_sparse_family(cfg.dims)
+        dist = EntryDistribution.gaussian()
+    elif cfg.dist_kind == "sparse":
+        dist = EntryDistribution.sparse_sign(SPARSE_DELTA)
+    elif kind == "rp":
+        dist = EntryDistribution.very_sparse(cfg.d)
+    else:
+        dist = very_sparse_family(cfg.dims)
+    return dims, (cfg.T if kind == "trp_t" else 1), dist
 
 
-def _kind_layout(cfg: ExperimentConfig, kind: str) -> tuple[tuple[int, ...], int]:
-    """(factor dims, replicate count) a map kind uses internally."""
-    if kind == "rp":
-        return (cfg.d,), 1
-    if kind == "trp":
-        return cfg.dims, 1
-    return cfg.dims, cfg.T
+def _load_data(cfg: ExperimentConfig, seed: SeedSpec) -> _Data:
+    """The data all cells of a run share, drawn from ``seed``.
 
-
-def _load_points(cfg: ExperimentConfig, data_seed: SeedSpec) -> np.ndarray:
-    if cfg.mnist_path is not None:
-        return load_mnist(cfg.mnist_path, cfg.n_points)
-    return gen_synthetic(cfg.d, cfg.n_points, data_seed)
+    The points (cosine), the points and their pair distances (distance),
+    the ``s x d`` target (sketch), or None (variance, whose input is e_1).
+    """
+    if cfg.experiment == "variance":
+        return None
+    if cfg.experiment == "sketch":
+        side = _sketch_side(cfg)
+        return tucker_synthetic(side, cfg.order, SKETCH_CORE_RANK, seed).reshape(side, cfg.d)
+    if cfg.mnist_path is None:
+        points = gen_synthetic(cfg.d, cfg.n_points, seed)
+    else:
+        points = load_mnist(cfg.mnist_path, cfg.n_points)
+    return (points, pair_distances(points)) if cfg.experiment == "distance" else points
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Run all (map kind, k, replication) cells and return their records."""
     _validate(cfg)
     base = SeedSpec(cfg.base_seed)
-    data_seed = base.child(0)
-    map_root = base.child(1)
-
-    points: np.ndarray | None = None
-    original: np.ndarray | None = None
-    target: np.ndarray | None = None
-    if cfg.experiment in ("distance", "cosine"):
-        points = _load_points(cfg, data_seed)
-        if cfg.experiment == "distance":
-            original = pair_distances(points)
-    elif cfg.experiment == "sketch":
-        side = _sketch_side(cfg)
-        tensor = tucker_synthetic(side, cfg.order, SKETCH_CORE_RANK, data_seed)
-        target = tensor.reshape(side, cfg.d)
-
+    data = _load_data(cfg, base.child(0))
     records: list[ExperimentRecord] = []
     for kind_idx, kind in enumerate(cfg.map_kinds):
-        kind_seed = map_root.child(kind_idx)
+        kind_seed = base.child(1).child(kind_idx)
         for k_idx, k in enumerate(cfg.k_sweep):
-            cell_seed = kind_seed.child(k_idx)
-            records.extend(_run_cell(cfg, kind, k, cell_seed, points, original, target))
+            records.extend(_run_cell(cfg, kind, k, kind_seed.child(k_idx), data))
     return records
 
 
-def _records(
-    cfg: ExperimentConfig,
-    kind: str,
-    k: int,
-    metric: str,
-    values: Sequence[float],
-    std_errors: Sequence[float] | None = None,
+def _run_cell(
+    cfg: ExperimentConfig, kind: str, k: int, cell_seed: SeedSpec, data: _Data
 ) -> list[ExperimentRecord]:
     """The records of one (map kind, k) cell, one per rep in rep order."""
-    cell = (cfg.experiment, kind, cfg.dist_kind, cfg.d, cfg.dims, k,
-            cfg.T if kind == "trp_t" else 1)
-    if std_errors is None:
-        return [
-            ExperimentRecord(*cell, rep, metric, float(v)) for rep, v in enumerate(values)
-        ]
-    return [
-        ExperimentRecord(*cell, rep, metric, float(v), float(se))
-        for rep, (v, se) in enumerate(zip(values, std_errors))
-    ]
-
-
-def _run_cell(
-    cfg: ExperimentConfig,
-    kind: str,
-    k: int,
-    cell_seed: SeedSpec,
-    points: np.ndarray | None,
-    original: np.ndarray | None,
-    target: np.ndarray | None,
-) -> list[ExperimentRecord]:
     reps = cfg.replications
-    dims, T = _kind_layout(cfg, kind)
-    dist = _dist_for(cfg, kind)
-
+    dims, T, dist = _layout(cfg, kind)
+    # Map rep of a cell is drawn from the cell seed's child stream rep; a
+    # single-map sketch draws from child 0 of that stream.
+    seeds = (cell_seed.child(rep) for rep in range(reps))
+    if cfg.experiment == "sketch" and kind != "trp_t":
+        seeds = (seed.child(0) for seed in seeds)
+    # map() drops each map before the next is built; a loop variable would
+    # hold two maps at once.  A variance cell draws its own maps in blocks.
+    maps = map(lambda seed: build_map(kind, dims, k, dist, T, seed), seeds)
+    spreads = [None] * reps
     if cfg.experiment == "variance":
-        x = np.zeros(cfg.d)
-        x[0] = 1.0
-        samples = squared_norm_samples(dims, k, dist, x, reps, cell_seed, T=T)
-        return _records(cfg, kind, k, "sq_norm_ratio", samples.tolist())
-
-    # Map rep of a cell is drawn from the cell seed's child stream rep.
-    if kind == "identity":
-        maps = [lambda x: x] * reps
+        e1 = np.eye(1, cfg.d)[0]
+        metric = "sq_norm_ratio"
+        values = squared_norm_samples(dims, k, dist, e1, reps, cell_seed, T=T).tolist()
+    elif cfg.experiment == "distance":
+        points, original = data
+        reports = map(lambda f: pairwise_distance_ratio(points, f, original), maps)
+        metric = "avg_ratio"
+        values, spreads = zip(*((r.avg_ratio, r.std_ratio) for r in reports))
+    elif cfg.experiment == "cosine":
+        metric, values = "rmse", cosine_similarity_rmse(data, maps).per_rep.tolist()
     else:
-        maps = (build_map(kind, dims, k, dist, T, cell_seed.child(rep)) for rep in range(reps))
-
-    if cfg.experiment == "distance":
-        assert points is not None
-        ratios, spreads = [], []
-        # map() drops each map before the next is built; a loop variable
-        # would hold two dense maps at once.
-        for report in map(lambda f: pairwise_distance_ratio(points, f, original), maps):
-            ratios.append(report.avg_ratio)
-            spreads.append(report.std_ratio)
-        return _records(cfg, kind, k, "avg_ratio", ratios, spreads)
-
-    if cfg.experiment == "cosine":
-        assert points is not None
-        result = cosine_similarity_rmse(points, maps)
-        return _records(cfg, kind, k, "rmse", result.per_rep.tolist())
-
-    assert cfg.experiment == "sketch" and target is not None
-    errors = []
-    for rep in range(reps):
-        rep_seed = cell_seed.child(rep)
-        if kind == "trp_t":
-            ensemble = build_map(kind, dims, k, dist, T, rep_seed)
-            approx = averaged_low_rank_approx(target, ensemble)
-        else:
-            # Single-map sketches draw from child 0 of the rep's stream.
-            omega = build_map(kind, dims, k, dist, T, rep_seed.child(0))
-            approx = low_rank_approx(target, omega)
-        errors.append(relative_error(target, approx))
-    return _records(cfg, kind, k, "relative_error", errors)
+        sketch = averaged_low_rank_approx if kind == "trp_t" else low_rank_approx
+        metric = "relative_error"
+        values = list(map(lambda omega: relative_error(data, sketch(data, omega)), maps))
+    cell = (cfg.experiment, kind, cfg.dist_kind, cfg.d, cfg.dims, k, T)
+    return [
+        ExperimentRecord(*cell, rep, metric, float(v), se)
+        for rep, (v, se) in enumerate(zip(values, spreads))
+    ]
 
 
 def _format_value(value: float | None) -> str:

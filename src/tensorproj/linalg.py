@@ -53,11 +53,11 @@ class QrFactor(NamedTuple):
     effective_rank: int
 
 
-def qr_factor(mat: np.ndarray, rank_tol: float = RANK_TOL) -> QrFactor:
+def qr_factor(mat: np.ndarray) -> QrFactor:
     """Reduced Householder QR plus an effective-rank estimate.
 
     ``effective_rank`` counts diagonal entries of R with magnitude at least
-    ``rank_tol * ||mat||_F``.  Rank deficiency is reported, never raised;
+    ``RANK_TOL * ||mat||_F``.  Rank deficiency is reported, never raised;
     callers decide what a short basis means for them.
     """
     mat = np.asarray(mat, dtype=float)
@@ -71,5 +71,5 @@ def qr_factor(mat: np.ndarray, rank_tol: float = RANK_TOL) -> QrFactor:
     if scale == 0.0:
         rank = 0
     else:
-        rank = int(np.count_nonzero(np.abs(np.diag(r)) >= rank_tol * scale))
+        rank = int(np.count_nonzero(np.abs(np.diag(r)) >= RANK_TOL * scale))
     return QrFactor(q, r, rank)

@@ -68,9 +68,21 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _as_real(x, asarray=np.asarray) -> np.ndarray:
+    """``asarray(x)`` as floats: the real-input check of every converter.
+
+    numpy's own cast only warns when it drops an imaginary part.  A float64
+    array comes back as itself, so ``np.asanyarray`` keeps the object.
+    """
+    x = asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError("input is complex; projections take real input")
+    return x.astype(float, copy=False)
+
+
 def _check_input(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """``x`` as a flat finite float vector, which must hold ``prod(dims)`` entries."""
-    x = np.asarray(x, dtype=float).ravel()
+    x = _as_real(x).ravel()
     if x.size != math.prod(dims):
         raise ValueError(f"x has {x.size} entries, dims {dims} need {math.prod(dims)}")
     return _check_finite(x)
@@ -78,10 +90,7 @@ def _check_input(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 
 def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
     """The one input check of every map: a finite real vector or ``(n, d)`` batch."""
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        raise ValueError("input is complex; projections take real input")
-    x = x.astype(float, copy=False)
+    x = _as_real(x)
     if x.ndim not in (1, 2):
         raise ValueError(
             f"map expects a vector or an (n, {d}) batch, got shape {x.shape}"
@@ -137,10 +146,6 @@ class TensorRandomProjection:
     @property
     def d(self) -> int:
         return math.prod(self.dims)
-
-    @property
-    def order(self) -> int:
-        return len(self.factors)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Project ``x`` (a vector of length d, or a batch of shape (n, d)).

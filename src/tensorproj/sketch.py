@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import SeedSpec
 from .linalg import qr_factor
-from .maps import TrpEnsemble, _check_finite
+from .maps import TrpEnsemble, _as_real, _check_finite
 from .stats import Projection
 
 NOISE_ENERGY_FRACTION = 0.01
@@ -67,7 +67,7 @@ class LowRank:
 def _as_matrix(x: np.ndarray) -> np.ndarray:
     # asanyarray keeps a float matrix, subclasses included, as the same
     # object, which relative_error recognises as an approximation's source.
-    x = np.asanyarray(x, dtype=float)
+    x = _as_real(x, np.asanyarray)
     if x.ndim != 2:
         raise ValueError("low_rank_approx expects a matrix")
     return x
@@ -75,7 +75,7 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
 
 def _range_basis(x: np.ndarray, omega: Projection) -> np.ndarray:
     """Orthonormal basis Q of one sketch Z = omega(rows of X); warns if Z is rank deficient."""
-    z = np.asarray(omega(x), dtype=float)
+    z = _as_real(omega(x))
     if z.shape[0] != x.shape[0]:
         raise ValueError("sketch must keep one row per input row")
     if z.shape[1] > x.shape[0]:
@@ -126,7 +126,7 @@ def multi_mode_product(core: np.ndarray, arms: Sequence[np.ndarray]) -> np.ndarr
     """Multiply ``core`` by one matrix per mode (mode-n products)."""
     if core.ndim != len(arms):
         raise ValueError(f"core has {core.ndim} modes but {len(arms)} arms given")
-    out = np.asarray(core, dtype=float)
+    out = _as_real(core)
     for axis, arm in enumerate(arms):
         out = np.moveaxis(np.tensordot(arm, out, axes=(1, axis)), 0, axis)
     return out
@@ -194,14 +194,14 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
     ``FACTORED_ERROR_FLOOR * ||X||^2`` the subtraction has cancelled too many
     digits and the dense residual is used instead.
     """
-    x = np.asanyarray(x, dtype=float)
+    x = _as_real(x, np.asanyarray)
     # ||X||^2 is finite exactly when no entry is NaN or infinite, barring
     # overflow; only a sum that is not finite needs the entrywise test.
     norm_sq = float(np.vdot(x, x))
     if not math.isfinite(norm_sq):
         _check_finite(x)
     if isinstance(x_hat, LowRank):
-        q, b = (_check_finite(np.asarray(f, dtype=float)) for f in (x_hat.q, x_hat.b))
+        q, b = (_check_finite(_as_real(f)) for f in (x_hat.q, x_hat.b))
         shapes_match = (
             x.ndim == q.ndim == b.ndim == 2
             and q.shape[0] == x.shape[0]
@@ -209,7 +209,7 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
         )
         got = f"{q.shape} @ {b.shape}"
     else:
-        x_hat = _check_finite(np.asarray(x_hat, dtype=float))
+        x_hat = _check_finite(_as_real(x_hat))
         shapes_match = x.shape == x_hat.shape
         got = str(x_hat.shape)
     if not shapes_match:

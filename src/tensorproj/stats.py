@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .distributions import EntryDistribution, SeedSpec, _sample_array, per_factor
-from .maps import _check_finite, _check_input, _check_shape, _contract
+from .maps import _as_real, _check_finite, _check_input, _check_shape, _contract
 
 Projection = Callable[[np.ndarray], np.ndarray]
 
@@ -116,7 +116,7 @@ def theoretical_variance(
     if np.ndim(fourth_moments) == 0:
         fourth_moments = [fourth_moments]
     moments = _check_moments(fourth_moments)
-    x = _check_finite(np.asarray(x, dtype=float).ravel())
+    x = _check_finite(_as_real(x).ravel())
     _check_shape((x.size,), k, T)
     norm4_4 = float(np.sum(x**4))
     norm2_4 = float(np.sum(x**2)) ** 2
@@ -295,7 +295,7 @@ def isometry_stats(
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a variance, got {trials}")
-    x = np.asarray(x, dtype=float).ravel()
+    x = _as_real(x).ravel()
     w = squared_norm_samples(dims, k, dist, x, trials, seed, T=T)
     x_sq = float(x @ x)
     var = float(w.var(ddof=1))
@@ -310,7 +310,7 @@ def isometry_stats(
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+    pts = _as_real(points)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need a 2-D array with at least two point rows")
     return _check_finite(pts)
@@ -345,7 +345,7 @@ def pairwise_distance_ratio(
     if original is None:
         original = pair_distances(pts)
     else:
-        original = np.asarray(original, dtype=float)
+        original = _as_real(original)
         if original.shape != (n_pairs,):
             raise ValueError(
                 f"original has shape {original.shape}, "
@@ -391,7 +391,7 @@ def cosine_similarity_rmse(points: np.ndarray, maps: Iterable[Projection]) -> Co
     rmse = []
     skipped = 0
     # map() drops each map before the next is drawn, unlike a loop variable.
-    for proj in map(lambda f: np.asarray(f(pts), dtype=float), maps):
+    for proj in map(lambda f: _as_real(f(pts)), maps):
         est_cos, keep = _pair_cosines(proj, iu)
         skipped += keep.size - int(keep.sum())
         err = est_cos[keep] - true_cos[keep]
@@ -410,8 +410,8 @@ def polarization_check(project: Projection, x: np.ndarray, y: np.ndarray) -> flo
     exact arithmetic for any linear map and stays at rounding level for a
     correct implementation.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    x = _as_real(x).ravel()
+    y = _as_real(y).ravel()
     fx = project(x)
     fy = project(y)
     fsum = project(x + y)

@@ -205,14 +205,6 @@ def test_cosine_run_survives_maps_that_send_points_to_zero(tmp_path, capsys):
     assert "(2 reps, 1 with no pair)" in summary
 
 
-def test_identity_map_allowed_for_distance(tmp_path):
-    out = tmp_path / "id.csv"
-    args = SMALL + ["--map", "identity", "--out", str(out)]
-    assert main(args) == 0
-    rows = out.read_text().splitlines()[1:]
-    assert all(row.split(",")[9] == "1" for row in rows)
-
-
 def test_order_4_sketch_smoke_run(tmp_path, capsys):
     # A 5^4 Tucker tensor unfolded to 5 x 125; at k = 5 the sketch spans every row.
     out = tmp_path / "o4.csv"

@@ -1,10 +1,12 @@
 import dataclasses
 import os
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from tensorproj import experiments
 from tensorproj.cli import build_config
 from tensorproj.distributions import EntryDistribution, SeedSpec
 from tensorproj.experiments import (
@@ -53,7 +55,7 @@ def make_config(**overrides):
         (dict(dist_kind="uniform"), "unknown distribution"),
         (dict(map_kinds=()), "at least one map kind"),
         (dict(map_kinds=("srht",)), "unknown map kind"),
-        (dict(map_kinds=("identity",), experiment="cosine"), "identity debug map"),
+        (dict(map_kinds=("identity",)), "unknown map kind"),
         (dict(dims=()), "dims must be positive"),
         (dict(dims=(4, 0)), "dims must be positive"),
         (dict(k_sweep=()), "k values must be positive"),
@@ -143,13 +145,6 @@ def test_metric_names_per_experiment():
         assert {r.metric for r in records} == {metric}
 
 
-def test_identity_map_reports_ratio_one():
-    cfg = make_config(map_kinds=("identity",), k_sweep=(2,), replications=2)
-    records = run_experiment(cfg)
-    assert all(r.value == 1.0 for r in records)
-    assert all(r.std_error == 0.0 for r in records)
-
-
 def test_reported_t_field():
     cfg = make_config(
         experiment="variance", map_kinds=("rp", "trp", "trp_t"), T=3, replications=2
@@ -217,6 +212,32 @@ def test_cosine_values_are_per_replication_rmses():
     records = run_experiment(cfg)
     assert len({r.value for r in records}) > 1  # distinct draws, distinct errors
     assert all(r.value >= 0.0 for r in records)
+
+
+@pytest.mark.parametrize("experiment", ["distance", "cosine", "sketch"])
+def test_a_cell_holds_one_built_map_at_a_time(experiment, monkeypatch):
+    live = peak = 0
+    build = experiments.build_map
+
+    def release():
+        nonlocal live
+        live -= 1
+
+    def counting_build(*args):
+        nonlocal live, peak
+        f = build(*args)
+        live += 1
+        peak = max(peak, live)
+        weakref.finalize(f, release)
+        return f
+
+    monkeypatch.setattr(experiments, "build_map", counting_build)
+    dims = (6, 6) if experiment == "sketch" else (4, 3)
+    cfg = make_config(experiment=experiment, map_kinds=("rp", "trp", "trp_t"), dims=dims,
+                      k_sweep=(2, 3), replications=3)
+    assert len(run_experiment(cfg)) == 3 * 2 * 3
+    assert peak == 1
+    assert live == 0
 
 
 # ----------------------------------------------------------------------- csv

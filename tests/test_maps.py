@@ -18,7 +18,23 @@ from tensorproj.maps import (
     build_map,
     build_trp,
 )
-from tensorproj.stats import exact_variance, squared_norm_samples, theoretical_variance
+from tensorproj.sketch import (
+    LowRank,
+    averaged_low_rank_approx,
+    low_rank_approx,
+    multi_mode_product,
+    relative_error,
+)
+from tensorproj.stats import (
+    cosine_similarity_rmse,
+    exact_variance,
+    isometry_stats,
+    pair_distances,
+    pairwise_distance_ratio,
+    polarization_check,
+    squared_norm_samples,
+    theoretical_variance,
+)
 
 GAUSS = EntryDistribution.gaussian()
 SPARSE = EntryDistribution.sparse_sign(1 / 3)
@@ -187,6 +203,44 @@ def test_complex_input_is_rejected(make):
         make().apply(x)
     with pytest.raises(ValueError, match="complex"):
         make().apply(np.ones((2, 12), dtype=complex))
+
+
+_XC = np.ones(12) + 1j * np.arange(12)  # a complex vector on dims (3, 4)
+_PC = np.arange(24.0).reshape(6, 4) + 1j  # six complex points
+_MC = np.ones((6, 12), dtype=complex)  # a complex 6 x 12 matrix
+_M = np.arange(72.0).reshape(6, 12) % 7 + 1.0
+COMPLEX_CALLS = {
+    "squared_norm_samples": lambda: squared_norm_samples((3, 4), 2, GAUSS, _XC, 3, SeedSpec(0)),
+    "isometry_stats": lambda: isometry_stats((3, 4), 2, GAUSS, _XC, 3, SeedSpec(0)),
+    "theoretical_variance": lambda: theoretical_variance(_XC, 3.0, 2),
+    "exact_variance": lambda: exact_variance(_XC, (3, 4), 3.0, 2),
+    "pair_distances": lambda: pair_distances(_PC),
+    "pairwise_distance_ratio": lambda: pairwise_distance_ratio(_PC, lambda x: x),
+    "pairwise_distance_ratio-original": lambda: pairwise_distance_ratio(
+        _PC.real, lambda x: x, np.ones(15, dtype=complex)
+    ),
+    "cosine_similarity_rmse": lambda: cosine_similarity_rmse(_PC, [lambda x: x]),
+    "cosine_similarity_rmse-map-output": lambda: cosine_similarity_rmse(
+        _PC.real, [lambda x: x * 1j]
+    ),
+    "polarization_check": lambda: polarization_check(lambda x: x[:2], _XC, _XC.real),
+    "low_rank_approx": lambda: low_rank_approx(_MC, BOUNDARY_MAPS["trp"]()),
+    "low_rank_approx-sketch": lambda: low_rank_approx(_M, lambda x: x[:, :2] * 1j),
+    "averaged_low_rank_approx": lambda: averaged_low_rank_approx(_MC, BOUNDARY_MAPS["ensemble"]()),
+    "relative_error": lambda: relative_error(_MC, _M),
+    "relative_error-dense-approx": lambda: relative_error(_M, _MC),
+    "relative_error-factored-approx": lambda: relative_error(
+        _M, LowRank(np.ones((6, 1), dtype=complex), np.ones((1, 12)))
+    ),
+    "multi_mode_product": lambda: multi_mode_product(np.ones((2, 2)) * 1j, [np.eye(2)] * 2),
+}
+
+
+@pytest.mark.parametrize("call", COMPLEX_CALLS.values(), ids=COMPLEX_CALLS.keys())
+def test_complex_input_is_rejected_by_every_entry_point(call):
+    # numpy's own conversion would only warn and drop the imaginary part.
+    with pytest.raises(ValueError, match="complex"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
