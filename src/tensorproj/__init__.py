@@ -4,8 +4,6 @@ from .distributions import (
     EntryDistribution,
     SeedSpec,
     per_factor,
-    sample_matrix,
-    very_sparse_delta,
     very_sparse_family,
 )
 from .linalg import QrFactor, khatri_rao, qr_factor
@@ -87,11 +85,9 @@ __all__ = [
     "read_csv",
     "relative_error",
     "run_experiment",
-    "sample_matrix",
     "squared_norm_samples",
     "theoretical_variance",
     "tucker_synthetic",
-    "very_sparse_delta",
     "very_sparse_family",
     "write_csv",
 ]

@@ -52,21 +52,16 @@ class EntryDistribution:
 
     @classmethod
     def very_sparse(cls, dim: int) -> "EntryDistribution":
-        """Sparse-sign entries at the very sparse rate for dimension ``dim``."""
-        return cls("sparse_sign", very_sparse_delta(dim))
+        """Sparse-sign entries at the very sparse rate ``1/sqrt(dim)``."""
+        if dim < 1:
+            raise ValueError(f"dimension must be positive, got {dim}")
+        return cls("sparse_sign", 1.0 / math.sqrt(dim))
 
     def fourth_moment(self) -> float:
         """E[a^4] for a single entry; equals 3 for Gaussian, 1/delta otherwise."""
         if self.kind == "gaussian":
             return GAUSSIAN_FOURTH_MOMENT
         return 1.0 / self.delta
-
-
-def very_sparse_delta(dim: int) -> float:
-    """Nonzero probability 1/sqrt(dim) used by very sparse projections."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return 1.0 / math.sqrt(dim)
 
 
 @dataclass(frozen=True)
@@ -113,15 +108,6 @@ def _sample_array(
     u -= low
     u *= 1.0 / math.sqrt(dist.delta)
     return u
-
-
-def sample_matrix(
-    dist: EntryDistribution, rows: int, cols: int, seed: SeedSpec
-) -> np.ndarray:
-    """Draw a ``rows x cols`` matrix of i.i.d. entries from ``dist``."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix shape must be positive, got {rows} x {cols}")
-    return _sample_array(dist, (rows, cols), seed.generator())
 
 
 def per_factor(

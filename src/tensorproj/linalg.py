@@ -1,6 +1,10 @@
-"""Dense linear algebra helpers and the package-wide index convention.
+"""Input checks, dense linear algebra helpers and the package-wide index convention.
 
-Everything here operates on plain numpy arrays (row-major).  An order-N
+Every module sits on this one, so it owns the input policy: arrays are real
+(:func:`_as_real`) and finite (:func:`_check_finite`), and dims, k and T
+positive integers (:func:`_check_shape`).  Callers add only their own shapes.
+
+Everything else here operates on plain numpy arrays (row-major).  An order-N
 tensor with dimensions ``(d_1, ..., d_N)`` is identified with a vector of
 length ``prod(d_i)`` by letting the *last* mode vary fastest: the 1-based
 multi-index ``(r_1, ..., r_N)`` sits at linear position
@@ -17,13 +21,58 @@ code, so keep it in one place.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 # A column of M is treated as numerically zero (rank-deficient) when the
 # corresponding |R[i, i]| falls below this multiple of ||M||_F.
 RANK_TOL = 1e-12
+
+
+def _check_shape(dims: Sequence[int], k: int, T: int = 1) -> tuple[int, ...]:
+    """The one shape check of every builder and sampler; returns ``dims`` as ints.
+
+    Like :class:`~tensorproj.distributions.SeedSpec`, it takes ``int`` and
+    ``np.integer`` values only: a float is refused, not truncated.
+    """
+    dims = tuple(dims)
+    if not all(isinstance(d, (int, np.integer)) for d in dims):
+        raise ValueError(f"dims must be integers, got {dims}")
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise ValueError(f"dims must be positive, got {dims}")
+    for name, value in (("k", k), ("T", T)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
+    return dims
+
+
+def _check_finite(x: np.ndarray) -> np.ndarray:
+    """``x`` itself, which must hold no NaN or infinite entry.
+
+    A finite sum rules both out without an ``x``-sized temporary; only a sum
+    that is not finite, NaN and inf or an overflow, needs the entrywise test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.sum()
+    if not np.isfinite(total) and not np.isfinite(x).all():
+        raise ValueError("input holds NaN or infinite entries")
+    return x
+
+
+def _as_real(x, asarray=np.asarray) -> np.ndarray:
+    """``asarray(x)`` as floats: the real-input check of every converter.
+
+    numpy's own cast only warns when it drops an imaginary part.  A float64
+    array comes back as itself, so ``np.asanyarray`` keeps the object.
+    """
+    x = asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError("input is complex; projections take real input")
+    return x.astype(float, copy=False)
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -35,8 +84,8 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Leading axes broadcast: stacks ``(..., I, K)`` and ``(..., J, K)`` give
     ``(..., I*J, K)``, one product per leading index.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _as_real(a)
+    b = _as_real(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("khatri_rao expects two matrices or stacks of matrices")
     if a.shape[-1] != b.shape[-1]:
@@ -58,11 +107,13 @@ def qr_factor(mat: np.ndarray) -> QrFactor:
 
     ``effective_rank`` counts diagonal entries of R with magnitude at least
     ``RANK_TOL * ||mat||_F``.  Rank deficiency is reported, never raised;
-    callers decide what a short basis means for them.
+    callers decide what a short basis means for them.  NaN or infinite
+    entries are refused: they would make the rank meaningless.
     """
-    mat = np.asarray(mat, dtype=float)
+    mat = _as_real(mat)
     if mat.ndim != 2:
         raise ValueError("qr_factor expects a matrix")
+    _check_finite(mat)
     m, k = mat.shape
     if m < k:
         raise ValueError(f"need at least as many rows as columns, got {m} x {k}")

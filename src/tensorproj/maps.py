@@ -34,50 +34,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import EntryDistribution, SeedSpec, per_factor, sample_matrix
-from .linalg import khatri_rao
+from .distributions import EntryDistribution, SeedSpec, _sample_array, per_factor
+from .linalg import _as_real, _check_finite, _check_shape, khatri_rao
 
-# Default ceiling on d * k when materializing an explicit projection matrix.
+# Ceiling on d * k when materializing an explicit projection matrix.
 MATERIALIZE_CAP = 10_000_000
 
 MAP_KINDS = ("rp", "trp", "trp_t")
-
-
-def _check_shape(dims: Sequence[int], k: int, T: int = 1) -> tuple[int, ...]:
-    """The one positivity check of every builder and sampler; returns ``dims``."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"dims must be positive, got {dims}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if T < 1:
-        raise ValueError(f"T must be positive, got {T}")
-    return dims
-
-
-def _check_finite(x: np.ndarray) -> np.ndarray:
-    """``x`` itself, which must hold no NaN or infinite entry.
-
-    A finite sum rules both out without an ``x``-sized temporary; only a sum
-    that is not finite, NaN and inf or an overflow, needs the entrywise test.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = x.sum()
-    if not np.isfinite(total) and not np.isfinite(x).all():
-        raise ValueError("input holds NaN or infinite entries")
-    return x
-
-
-def _as_real(x, asarray=np.asarray) -> np.ndarray:
-    """``asarray(x)`` as floats: the real-input check of every converter.
-
-    numpy's own cast only warns when it drops an imaginary part.  A float64
-    array comes back as itself, so ``np.asanyarray`` keeps the object.
-    """
-    x = asarray(x)
-    if np.iscomplexobj(x):
-        raise ValueError("input is complex; projections take real input")
-    return x.astype(float, copy=False)
 
 
 def _check_input(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
@@ -171,16 +134,16 @@ class TensorRandomProjection:
         scale = math.prod(1.0 / math.sqrt(d.delta) for d in self.dists)
         return _contract(xs, signs) * (scale / math.sqrt(self.k))
 
-    def materialize(self, cap: int = MATERIALIZE_CAP) -> np.ndarray:
+    def materialize(self) -> np.ndarray:
         """Explicit ``d x k`` Khatri-Rao product of the factors, unscaled.
 
         Intended as a test oracle and for small sketches; refuses to allocate
-        more than ``cap`` entries.
+        more than ``MATERIALIZE_CAP`` entries.
         """
-        if self.d * self.k > cap:
+        if self.d * self.k > MATERIALIZE_CAP:
             raise ValueError(
-                f"materializing {self.d} x {self.k} exceeds cap={cap}; "
-                "raise cap explicitly if this is intentional"
+                f"materializing {self.d} x {self.k} exceeds the cap of "
+                f"{MATERIALIZE_CAP} entries"
             )
         return reduce(khatri_rao, self.factors)
 
@@ -283,7 +246,7 @@ def build_trp(
     dims = _check_shape(dims, k)
     dists = per_factor(dist, len(dims))
     factors = tuple(
-        sample_matrix(dists[i], dims[i], k, seed.child(i))
+        _sample_array(dists[i], (dims[i], k), seed.child(i).generator())
         for i in range(len(dims))
     )
     return TensorRandomProjection(factors, dists)
@@ -309,7 +272,7 @@ def build_conventional(
     d: int, k: int, dist: EntryDistribution, seed: SeedSpec
 ) -> ConventionalRp:
     _check_shape((d,), k)
-    return ConventionalRp(sample_matrix(dist, d, k, seed), dist)
+    return ConventionalRp(_sample_array(dist, (d, k), seed.generator()), dist)
 
 
 def build_map(
@@ -330,7 +293,7 @@ def build_map(
     if kind == "rp":
         if not isinstance(dist, EntryDistribution):
             raise ValueError("a dense projection takes a single distribution")
-        return build_conventional(math.prod(int(d) for d in dims), k, dist, seed)
+        return build_conventional(math.prod(_check_shape(dims, k)), k, dist, seed)
     if kind == "trp":
         return build_trp(dims, k, dist, seed)
     if kind == "trp_t":

@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import SeedSpec
-from .linalg import qr_factor
-from .maps import TrpEnsemble, _as_real, _check_finite
+from .linalg import _as_real, _check_finite, qr_factor
+from .maps import TrpEnsemble
 from .stats import Projection
 
 NOISE_ENERGY_FRACTION = 0.01
@@ -124,9 +124,10 @@ def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> LowRank:
 
 def multi_mode_product(core: np.ndarray, arms: Sequence[np.ndarray]) -> np.ndarray:
     """Multiply ``core`` by one matrix per mode (mode-n products)."""
-    if core.ndim != len(arms):
-        raise ValueError(f"core has {core.ndim} modes but {len(arms)} arms given")
     out = _as_real(core)
+    arms = [_as_real(arm) for arm in arms]
+    if out.ndim != len(arms):
+        raise ValueError(f"core has {out.ndim} modes but {len(arms)} arms given")
     for axis, arm in enumerate(arms):
         out = np.moveaxis(np.tensordot(arm, out, axes=(1, axis)), 0, axis)
     return out

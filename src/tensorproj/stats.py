@@ -56,7 +56,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .distributions import EntryDistribution, SeedSpec, _sample_array, per_factor
-from .maps import _as_real, _check_finite, _check_input, _check_shape, _contract
+from .linalg import _as_real, _check_finite, _check_shape
+from .maps import _check_input, _contract
 
 Projection = Callable[[np.ndarray], np.ndarray]
 
@@ -188,7 +189,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float, int]:
     NaN marks a draw with no value.  With no values left the mean and the
     standard error are NaN; with one the standard error is 0.
     """
-    v = np.asarray(values, dtype=float)
+    v = _as_real(values)
     v = v[~np.isnan(v)]
     if v.size == 0:
         return math.nan, math.nan, 0

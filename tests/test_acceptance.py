@@ -189,8 +189,8 @@ def test_criterion_6_materialized_sparsity_fractions():
 
     m_vs = build_trp(
         (50, 50), 50, very_sparse_family((50, 50)), SeedSpec(10)
-    ).materialize(cap=10**7)
-    m_sp = build_trp((50, 50), 50, SPARSE, SeedSpec(10)).materialize(cap=10**7)
+    ).materialize()
+    m_sp = build_trp((50, 50), 50, SPARSE, SeedSpec(10)).materialize()
     z_vs = z_score(m_vs, 1 / 50)
     z_sp = z_score(m_sp, 1 / 9)
     _report(

@@ -12,10 +12,9 @@ from tensorproj.distributions import (
     SeedSpec,
     _sample_array,
     per_factor,
-    sample_matrix,
-    very_sparse_delta,
     very_sparse_family,
 )
+from tensorproj.maps import build_conventional
 
 
 # --------------------------------------------------------- EntryDistribution
@@ -44,11 +43,11 @@ def test_fourth_moments():
 
 
 def test_very_sparse_delta_values():
-    assert very_sparse_delta(784) == pytest.approx(1 / 28)
-    assert very_sparse_delta(1) == 1.0
-    assert very_sparse_delta(2500) == pytest.approx(0.02)
+    assert EntryDistribution.very_sparse(784).delta == pytest.approx(1 / 28)
+    assert EntryDistribution.very_sparse(1).delta == 1.0
+    assert EntryDistribution.very_sparse(2500).delta == pytest.approx(0.02)
     with pytest.raises(ValueError):
-        very_sparse_delta(0)
+        EntryDistribution.very_sparse(0)
 
 
 def test_very_sparse_family_product_rate():
@@ -62,27 +61,29 @@ def test_very_sparse_family_product_rate():
 
 def test_same_seed_bitwise_identical():
     seed = SeedSpec(123).child(4)
-    a = sample_matrix(EntryDistribution.gaussian(), 20, 7, seed)
-    b = sample_matrix(EntryDistribution.gaussian(), 20, 7, seed)
+    a = build_conventional(20, 7, EntryDistribution.gaussian(), seed).matrix
+    b = build_conventional(20, 7, EntryDistribution.gaussian(), seed).matrix
     assert_array_equal(a, b)
 
 
 def test_sparse_support_is_exact():
     delta = 0.3
-    mat = sample_matrix(EntryDistribution.sparse_sign(delta), 300, 40, SeedSpec(5))
+    dist = EntryDistribution.sparse_sign(delta)
+    mat = build_conventional(300, 40, dist, SeedSpec(5)).matrix
     scale = 1 / math.sqrt(delta)
     assert set(np.unique(mat)) <= {-scale, 0.0, scale}
 
 
 def test_sparse_nonzero_rate():
     delta = 1 / 3
-    mat = sample_matrix(EntryDistribution.sparse_sign(delta), 1000, 1000, SeedSpec(6))
+    dist = EntryDistribution.sparse_sign(delta)
+    mat = build_conventional(1000, 1000, dist, SeedSpec(6)).matrix
     rate = np.count_nonzero(mat) / mat.size
     assert abs(rate - delta) <= 3 * math.sqrt(delta * (1 - delta) / mat.size)
 
 
 def test_gaussian_moments():
-    mat = sample_matrix(EntryDistribution.gaussian(), 1000, 1000, SeedSpec(7))
+    mat = build_conventional(1000, 1000, EntryDistribution.gaussian(), SeedSpec(7)).matrix
     assert abs(mat.mean()) <= 3 / math.sqrt(mat.size)
     assert mat.var() == pytest.approx(1.0, abs=0.01)
 
@@ -93,14 +94,14 @@ def test_gaussian_moments():
     ("sparse_tenth", EntryDistribution.sparse_sign(0.1)),
 ])
 def test_unit_variance(dist_id, dist):
-    mat = sample_matrix(dist, 1000, 1000, SeedSpec(8))
+    mat = build_conventional(1000, 1000, dist, SeedSpec(8)).matrix
     assert mat.var() == pytest.approx(1.0, abs=0.01)
 
 
 @pytest.mark.parametrize("delta", [1 / 3, 0.1, 0.02])
 def test_sparse_fourth_moment_monte_carlo(delta):
     dist = EntryDistribution.sparse_sign(delta)
-    mat = sample_matrix(dist, 1000, 1000, SeedSpec(9))
+    mat = build_conventional(1000, 1000, dist, SeedSpec(9)).matrix
     emp = float(np.mean(mat**4))
     assert abs(emp - 1 / delta) <= 0.05 / delta
 
@@ -128,11 +129,6 @@ def test_sparse_sign_draw_is_bitwise_the_mask_formula_in_u_own_buffer(delta):
     # Bitwise, so every zero stays +0.0.
     assert got.tobytes() == want.tobytes()
     assert peak < 1.3 * got.nbytes
-
-
-def test_bad_shape_rejected():
-    with pytest.raises(ValueError, match="shape"):
-        sample_matrix(EntryDistribution.gaussian(), 0, 3, SeedSpec(0))
 
 
 # ------------------------------------------------------------------- seeding

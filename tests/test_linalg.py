@@ -265,6 +265,14 @@ def test_qr_zero_matrix_rank_zero():
     assert qr_factor(np.zeros((4, 2))).effective_rank == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_qr_non_finite_rejected(bad):
+    mat = np.ones((4, 2))
+    mat[1, 0] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        qr_factor(mat)
+
+
 def test_qr_wide_matrix_rejected():
     with pytest.raises(ValueError, match="rows"):
         qr_factor(np.ones((2, 3)))

@@ -9,10 +9,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import kron_vec, linear_to_multi_index
 from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
+from tensorproj.linalg import _check_finite, khatri_rao, qr_factor
 from tensorproj.maps import (
+    MATERIALIZE_CAP,
     ConventionalRp,
     TensorRandomProjection,
-    _check_finite,
     build_conventional,
     build_ensemble,
     build_map,
@@ -233,6 +234,11 @@ COMPLEX_CALLS = {
         _M, LowRank(np.ones((6, 1), dtype=complex), np.ones((1, 12)))
     ),
     "multi_mode_product": lambda: multi_mode_product(np.ones((2, 2)) * 1j, [np.eye(2)] * 2),
+    "multi_mode_product-arm": lambda: multi_mode_product(
+        np.ones((2, 2)), [np.eye(2), np.eye(2) * 1j]
+    ),
+    "khatri_rao": lambda: khatri_rao(np.ones((2, 1)) * 1j + 1, np.ones((2, 1))),
+    "qr_factor": lambda: qr_factor(_MC.T),
 }
 
 
@@ -324,10 +330,12 @@ def test_materialize_entry_formula():
 
 
 def test_materialize_cap():
-    trp = build_trp((20, 20), 10, GAUSS, SeedSpec(8))
+    # 4000 * 2501 > MATERIALIZE_CAP, though the factors hold only 6501 entries.
+    big = build_trp((4000, 2501), 1, GAUSS, SeedSpec(8))
+    assert big.d * big.k > MATERIALIZE_CAP
     with pytest.raises(ValueError, match="cap"):
-        trp.materialize(cap=1000)
-    assert trp.materialize(cap=4000).shape == (400, 10)
+        big.materialize()
+    assert build_trp((20, 20), 10, GAUSS, SeedSpec(8)).materialize().shape == (400, 10)
 
 
 # ------------------------------------------------------- storage and nnz
@@ -408,11 +416,12 @@ def test_build_trp_validation():
 
 
 # Every builder and sampler runs the one shape check, so each rejects a zero
-# dim, k=0 and T=0 (where it takes dims or T) with the same message.
+# or float dim, k and T (where it takes dims or T) with the same message.
 SHAPE_CHECKED = {
     "build_trp": ("dims", "k"),
     "build_ensemble": ("dims", "k", "T"),
     "build_conventional": ("dims", "k"),
+    "build_map-rp": ("dims", "k"),
     "squared_norm_samples": ("dims", "k", "T"),
     "exact_variance": ("dims", "k", "T"),
     "theoretical_variance": ("k", "T"),
@@ -421,15 +430,21 @@ BAD_SHAPES = {
     "dims": (((0,), 2, 1), "dims must be positive, got (0,)"),
     "k": (((2, 3), 0, 1), "k must be positive, got 0"),
     "T": (((2, 3), 2, 0), "T must be positive, got 0"),
+    "dims=2.5": (((2.5,), 2, 1), "dims must be integers, got (2.5,)"),
+    "k=2.5": (((2, 3), 2.5, 1), "k must be an integer, got 2.5"),
+    "T=2.5": (((2, 3), 2, 2.5), "T must be an integer, got 2.5"),
 }
 
 
 def _call_shape_checked(name, dims, k, T):
-    x = np.ones(math.prod(dims))
+    x = np.ones(int(math.prod(dims)))
     calls = {
         "build_trp": lambda: build_trp(dims, k, GAUSS, SeedSpec(0)),
         "build_ensemble": lambda: build_ensemble(dims, k, GAUSS, T, SeedSpec(0)),
-        "build_conventional": lambda: build_conventional(x.size, k, GAUSS, SeedSpec(0)),
+        "build_conventional": lambda: build_conventional(
+            math.prod(dims), k, GAUSS, SeedSpec(0)
+        ),
+        "build_map-rp": lambda: build_map("rp", dims, k, GAUSS, T, SeedSpec(0)),
         "squared_norm_samples": lambda: squared_norm_samples(
             dims, k, GAUSS, x, 4, SeedSpec(0), T=T
         ),
@@ -441,13 +456,26 @@ def _call_shape_checked(name, dims, k, T):
 
 @pytest.mark.parametrize(
     "name,bad",
-    [(name, bad) for name, checks in SHAPE_CHECKED.items() for bad in checks],
+    [
+        (name, bad)
+        for name, checks in SHAPE_CHECKED.items()
+        for bad in BAD_SHAPES
+        if bad.split("=")[0] in checks
+    ],
 )
 def test_one_shape_check_for_every_builder_and_sampler(name, bad):
     (dims, k, T), message = BAD_SHAPES[bad]
     with pytest.raises(ValueError) as err:
         _call_shape_checked(name, dims, k, T)
     assert str(err.value) == message
+
+
+def test_shape_check_takes_numpy_integers_and_each_dense_dim():
+    dims = (np.int64(2), np.int64(3))
+    assert build_trp(dims, np.int64(2), GAUSS, SeedSpec(0)).dims == (2, 3)
+    # Two negative dims have a positive product; the dense map checks each.
+    with pytest.raises(ValueError, match="dims must be positive"):
+        build_map("rp", (-2, -3), 2, GAUSS, 1, SeedSpec(0))
 
 
 def test_conventional_rp_applies_scaled_matrix():
