@@ -19,13 +19,10 @@ from .maps import (
 from .stats import (
     CosineRmse,
     DistortionReport,
-    IsometryStats,
     cosine_similarity_rmse,
     exact_variance,
-    isometry_stats,
     pair_distances,
     pairwise_distance_ratio,
-    polarization_check,
     squared_norm_samples,
     theoretical_variance,
 )
@@ -57,7 +54,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRecord",
     "IdxFormatError",
-    "IsometryStats",
     "LowRank",
     "QrFactor",
     "RankDeficiencyWarning",
@@ -72,7 +68,6 @@ __all__ = [
     "cosine_similarity_rmse",
     "exact_variance",
     "gen_synthetic",
-    "isometry_stats",
     "khatri_rao",
     "load_mnist",
     "low_rank_approx",
@@ -80,7 +75,6 @@ __all__ = [
     "pair_distances",
     "pairwise_distance_ratio",
     "per_factor",
-    "polarization_check",
     "qr_factor",
     "read_csv",
     "relative_error",

@@ -14,6 +14,7 @@ import struct
 import numpy as np
 
 from .distributions import SeedSpec
+from .linalg import _check_sizes
 
 IDX_IMAGE_MAGIC = 0x00000803
 IMAGE_SIDE = 28
@@ -31,8 +32,7 @@ def load_mnist(path: str, n: int) -> np.ndarray:
     unit Euclidean length.  No mean-centering is applied: the benchmark
     geometry (distances, cosines) is defined on the raw nonnegative vectors.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_sizes(n=n)
     with open(path, "rb") as f:
         header = f.read(16)
         if len(header) < 16:
@@ -70,4 +70,5 @@ def gen_synthetic(d: int, n: int, seed: SeedSpec) -> np.ndarray:
     """``n`` i.i.d. standard normal vectors of length ``d``, one per row."""
     if d < 1 or n < 1:
         raise ValueError(f"need positive sizes, got d={d}, n={n}")
+    _check_sizes(d=d, n=n)
     return seed.generator().standard_normal((n, d))

@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import _check_sizes
+
 GAUSSIAN_FOURTH_MOMENT = 3.0
 
 
@@ -53,8 +55,7 @@ class EntryDistribution:
     @classmethod
     def very_sparse(cls, dim: int) -> "EntryDistribution":
         """Sparse-sign entries at the very sparse rate ``1/sqrt(dim)``."""
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
+        _check_sizes(dim=dim)
         return cls("sparse_sign", 1.0 / math.sqrt(dim))
 
     def fourth_moment(self) -> float:

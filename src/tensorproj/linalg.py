@@ -1,8 +1,9 @@
 """Input checks, dense linear algebra helpers and the package-wide index convention.
 
 Every module sits on this one, so it owns the input policy: arrays are real
-(:func:`_as_real`) and finite (:func:`_check_finite`), and dims, k and T
-positive integers (:func:`_check_shape`).  Callers add only their own shapes.
+(:func:`_as_real`) and finite (:func:`_check_finite`), and sizes positive
+integers (:func:`_check_sizes`, through :func:`_check_shape` for dims, k and
+T).  Callers add only their own shapes.
 
 Everything else here operates on plain numpy arrays (row-major).  An order-N
 tensor with dimensions ``(d_1, ..., d_N)`` is identified with a vector of
@@ -30,24 +31,28 @@ import numpy as np
 RANK_TOL = 1e-12
 
 
-def _check_shape(dims: Sequence[int], k: int, T: int = 1) -> tuple[int, ...]:
-    """The one shape check of every builder and sampler; returns ``dims`` as ints.
+def _check_sizes(**sizes: object) -> None:
+    """The one check of every size argument, in keyword order; the message names it.
 
-    Like :class:`~tensorproj.distributions.SeedSpec`, it takes ``int`` and
-    ``np.integer`` values only: a float is refused, not truncated.
+    Each value, or each entry of a tuple value (which must not be empty), is
+    a positive ``int`` or ``np.integer``.  Like
+    :class:`~tensorproj.distributions.SeedSpec`, a float is refused, not
+    truncated.
     """
-    dims = tuple(dims)
-    if not all(isinstance(d, (int, np.integer)) for d in dims):
-        raise ValueError(f"dims must be integers, got {dims}")
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"dims must be positive, got {dims}")
-    for name, value in (("k", k), ("T", T)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
+    for name, value in sizes.items():
+        many = isinstance(value, tuple)
+        values = value if many else (value,)
+        if not all(isinstance(v, (int, np.integer)) for v in values):
+            raise ValueError(f"{name} must be {'integers' if many else 'an integer'}, got {value!r}")
+        if not values or min(values) < 1:
             raise ValueError(f"{name} must be positive, got {value}")
-    return dims
+
+
+def _check_shape(dims: Sequence[int], k: int, T: int = 1) -> tuple[int, ...]:
+    """The one shape check of every builder and sampler; returns ``dims`` as ints."""
+    dims = tuple(dims)
+    _check_sizes(dims=dims, k=k, T=T)
+    return tuple(int(d) for d in dims)
 
 
 def _check_finite(x: np.ndarray) -> np.ndarray:

@@ -43,14 +43,6 @@ MATERIALIZE_CAP = 10_000_000
 MAP_KINDS = ("rp", "trp", "trp_t")
 
 
-def _check_input(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """``x`` as a flat finite float vector, which must hold ``prod(dims)`` entries."""
-    x = _as_real(x).ravel()
-    if x.size != math.prod(dims):
-        raise ValueError(f"x has {x.size} entries, dims {dims} need {math.prod(dims)}")
-    return _check_finite(x)
-
-
 def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
     """The one input check of every map: a finite real vector or ``(n, d)`` batch."""
     x = _as_real(x)

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import SeedSpec
-from .linalg import _as_real, _check_finite, qr_factor
+from .linalg import _as_real, _check_finite, _check_sizes, qr_factor
 from .maps import TrpEnsemble
 from .stats import Projection
 
@@ -150,14 +150,12 @@ def tucker_synthetic(
     only consume their own child streams, so the noiseless tensor is the
     same one the noisy draw perturbs.
     """
-    if side < 1:
-        raise ValueError(f"side must be positive, got {side}")
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
+    _check_sizes(side=side, order=order)
     if not 1 <= core_rank <= side:
         raise ValueError(
             f"core rank must lie in 1..{side} (the side length), got {core_rank}"
         )
+    _check_sizes(core_rank=core_rank)
     if not 0.0 <= noise_fraction < math.inf:
         raise ValueError(
             f"noise fraction must be finite and non-negative, got {noise_fraction}"

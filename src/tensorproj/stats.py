@@ -38,8 +38,8 @@ its maps from the seed's child stream b and contracts them at once with the
 maps' own Khatri-Rao kernel (``maps._contract``), batched over the draws
 instead of over inputs.  A block's drawn factors and kernel scratch stay
 near ``_BLOCK_SCRATCH`` entries, and its size depends only on the shape, so
-it is part of the stream definition.  Every Monte-Carlo statistic here is a
-numpy reduction of one vector of draws.
+it is part of the stream definition.  Its callers take every Monte-Carlo
+statistic (mean, variance, standard error) as a reduction of its vector.
 
 The distance and cosine estimators score maps built one at a time, by kind
 (:func:`tensorproj.maps.build_map`): ``pairwise_distance_ratio`` scores one
@@ -56,21 +56,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .distributions import EntryDistribution, SeedSpec, _sample_array, per_factor
-from .linalg import _as_real, _check_finite, _check_shape
-from .maps import _check_input, _contract
+from .linalg import _as_real, _check_finite, _check_shape, _check_sizes
+from .maps import _contract
 
 Projection = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class IsometryStats:
-    """Summary of ||f(x)||^2 over independent map draws for one fixed x."""
-
-    mean_sq_norm_ratio: float
-    var_sq_norm: float
-    trials: int
-    std_error_mean: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,6 +76,14 @@ class CosineRmse:
     std_error: float
     per_rep: np.ndarray
     skipped_pairs: int
+
+
+def _check_input(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """``x`` as a flat finite float vector, which must hold ``prod(dims)`` entries."""
+    x = _as_real(x).ravel()
+    if x.size != math.prod(dims):
+        raise ValueError(f"x has {x.size} entries, dims {dims} need {math.prod(dims)}")
+    return _check_finite(x)
 
 
 def _check_moments(fourth_moments: Sequence[float]) -> list[float]:
@@ -265,8 +262,7 @@ def squared_norm_samples(
     dims = _check_shape(dims, k, T)
     dists = per_factor(dist, len(dims))
     x = _check_input(x, dims)
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _check_sizes(trials=trials)
     block = max(1, _BLOCK_SCRATCH // _trial_scratch(dims, k, T))
     out = np.empty(trials)
     for b, start in enumerate(range(0, trials, block)):
@@ -280,41 +276,19 @@ def squared_norm_samples(
     return out
 
 
-def isometry_stats(
-    dims: Sequence[int],
-    k: int,
-    dist: EntryDistribution | Sequence[EntryDistribution],
-    x: np.ndarray,
-    trials: int,
-    seed: SeedSpec,
-    T: int = 1,
-) -> IsometryStats:
-    """Summary of ``trials`` draws of ||f(x)||^2 from :func:`squared_norm_samples`.
-
-    A zero input is legal but flagged: every projection of it is zero, so
-    the ratio to ||x||^2 is undefined.
-    """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials for a variance, got {trials}")
-    x = _as_real(x).ravel()
-    w = squared_norm_samples(dims, k, dist, x, trials, seed, T=T)
-    x_sq = float(x @ x)
-    var = float(w.var(ddof=1))
-    if x_sq == 0.0:
-        return IsometryStats(math.nan, var, trials, math.nan, degenerate=True)
-    return IsometryStats(
-        mean_sq_norm_ratio=float(w.mean()) / x_sq,
-        var_sq_norm=var,
-        trials=trials,
-        std_error_mean=math.sqrt(var) / (x_sq * math.sqrt(trials)),
-    )
-
-
 def _as_points(points: np.ndarray) -> np.ndarray:
     pts = _as_real(points)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need a 2-D array with at least two point rows")
     return _check_finite(pts)
+
+
+def _project(project: Projection, pts: np.ndarray) -> np.ndarray:
+    """``project(pts)`` as floats, which must keep one row per point."""
+    out = _as_real(project(pts))
+    if out.ndim != 2 or len(out) != len(pts):
+        raise ValueError(f"map must return one row per point, got {out.shape} for {len(pts)}")
+    return out
 
 
 def pair_distances(points: np.ndarray) -> np.ndarray:
@@ -354,7 +328,7 @@ def pairwise_distance_ratio(
             )
         if not (original.min() >= 0.0 and original.max() < math.inf):  # NaN fails too
             raise ValueError("original pair distances must be finite and non-negative")
-    projected = pair_distances(project(pts))
+    projected = pair_distances(_project(project, pts))
     keep = original != 0.0
     ratios = projected[keep] / original[keep]
     if ratios.size == 0:
@@ -392,7 +366,7 @@ def cosine_similarity_rmse(points: np.ndarray, maps: Iterable[Projection]) -> Co
     rmse = []
     skipped = 0
     # map() drops each map before the next is drawn, unlike a loop variable.
-    for proj in map(lambda f: _as_real(f(pts)), maps):
+    for proj in map(lambda f: _project(f, pts), maps):
         est_cos, keep = _pair_cosines(proj, iu)
         skipped += keep.size - int(keep.sum())
         err = est_cos[keep] - true_cos[keep]
@@ -403,20 +377,3 @@ def cosine_similarity_rmse(points: np.ndarray, maps: Iterable[Projection]) -> Co
     mean, se, _ = _mean_se(per_rep)
     return CosineRmse(mean, se, per_rep, skipped)
 
-
-def polarization_check(project: Projection, x: np.ndarray, y: np.ndarray) -> float:
-    """Defect of the polarization identity under the projection.
-
-    Returns |4 <f(x), f(y)> - (||f(x+y)||^2 - ||f(x-y)||^2)|, which is zero in
-    exact arithmetic for any linear map and stays at rounding level for a
-    correct implementation.
-    """
-    x = _as_real(x).ravel()
-    y = _as_real(y).ravel()
-    fx = project(x)
-    fy = project(y)
-    fsum = project(x + y)
-    fdiff = project(x - y)
-    lhs = 4.0 * float(fx @ fy)
-    rhs = float(fsum @ fsum) - float(fdiff @ fdiff)
-    return abs(lhs - rhs)

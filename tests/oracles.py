@@ -1,11 +1,14 @@
 """Oracles for the tests: Kronecker vectors, 1-based multi-index/linear
-bijections, mode-n unfolding, and a per-map Monte-Carlo loop.
+bijections, mode-n unfolding, a per-map Monte-Carlo loop and a linearity
+check.
 
 The index oracles spell out the index convention of :mod:`tensorproj.linalg`
 (last mode fastest, numpy's C order) directly, so the tests can check the
 library's kernels against them.  :func:`per_map_sq_norms` applies whole
 maps one at a time, the independent counterpart of the blocked sampler
-:func:`tensorproj.stats.squared_norm_samples`.
+:func:`tensorproj.stats.squared_norm_samples`.  :func:`polarization_check`
+checks a map through the polarization identity, which any linear map
+satisfies.
 """
 
 import math
@@ -77,3 +80,23 @@ def per_map_sq_norms(
     """
     x = np.asarray(x, dtype=float).ravel()
     return np.array([float(y @ y) for y in (f(x) for f in maps)])
+
+
+def polarization_check(
+    project: Callable[[np.ndarray], np.ndarray], x: np.ndarray, y: np.ndarray
+) -> float:
+    """Defect of the polarization identity under the projection.
+
+    Returns |4 <f(x), f(y)> - (||f(x+y)||^2 - ||f(x-y)||^2)|, which is zero in
+    exact arithmetic for any linear map and stays at rounding level for a
+    correct implementation.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    fx = project(x)
+    fy = project(y)
+    fsum = project(x + y)
+    fdiff = project(x - y)
+    lhs = 4.0 * float(fx @ fy)
+    rhs = float(fsum @ fsum) - float(fdiff @ fdiff)
+    return abs(lhs - rhs)

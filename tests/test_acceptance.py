@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 
+from oracles import polarization_check
 from tensorproj.cli import main as cli_main
 from tensorproj.data import gen_synthetic, load_mnist
 from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
@@ -31,8 +32,6 @@ from tensorproj.sketch import (
 from tensorproj.stats import (
     cosine_similarity_rmse,
     exact_variance,
-    isometry_stats,
-    polarization_check,
     squared_norm_samples,
     theoretical_variance,
 )
@@ -41,6 +40,15 @@ GAUSS = EntryDistribution.gaussian()
 SPARSE = EntryDistribution.sparse_sign(1 / 3)
 
 CRITERION_LINES: list[str] = []
+
+
+def _isometry(dims, k, dist, x, trials, seed, T=1):
+    """Mean of ||f(x)||^2 / ||x||^2, its standard error, and Var ||f(x)||^2,
+    reduced from ``trials`` draws of :func:`squared_norm_samples`."""
+    w = squared_norm_samples(dims, k, dist, x, trials, seed, T=T)
+    x_sq = float(x @ x)
+    var = float(w.var(ddof=1))
+    return float(w.mean()) / x_sq, math.sqrt(var) / (x_sq * math.sqrt(w.size)), var
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -78,13 +86,13 @@ def test_criterion_1_lazy_apply_matches_materialized_oracle():
 def test_criterion_2_mean_squared_norm_is_an_isometry():
     e1 = np.zeros(2500)
     e1[0] = 1.0
-    st = isometry_stats((50, 50), 10, GAUSS, e1, 100_000, SeedSpec(7))
-    gap = abs(st.mean_sq_norm_ratio - 1.0)
+    mean, se, _ = _isometry((50, 50), 10, GAUSS, e1, 100_000, SeedSpec(7))
+    gap = abs(mean - 1.0)
     _report(
         2,
-        gap <= 4 * st.std_error_mean,
-        f"mean ||f(x)||^2 = {st.mean_sq_norm_ratio:.5f} over 1e5 draws, "
-        f"|mean - 1| = {gap:.2g} vs 4 SE = {4 * st.std_error_mean:.2g}",
+        gap <= 4 * se,
+        f"mean ||f(x)||^2 = {mean:.5f} over 1e5 draws, "
+        f"|mean - 1| = {gap:.2g} vs 4 SE = {4 * se:.2g}",
     )
 
 
@@ -107,17 +115,15 @@ def test_criterion_3_variance_closed_form_grid():
             for k in (10, 50):
                 for T in (1, 5):
                     for x_name, x in (("e1", e1), ("dense", xr)):
-                        st = isometry_stats(
+                        mean, se, var = _isometry(
                             dims, k, dist, x, 1_000_000, base.child(100 + cell), T=T
                         )
                         moments = [dist.fourth_moment()] * N
                         pred = exact_variance(x, dims, moments, k, T)
                         closed = theoretical_variance(x, moments, k, T)
-                        rel = abs(st.var_sq_norm - pred) / pred
+                        rel = abs(var - pred) / pred
                         closed_gap = (pred - closed) / pred
-                        mean_ok = (
-                            abs(st.mean_sq_norm_ratio - 1.0) <= 4 * st.std_error_mean
-                        )
+                        mean_ok = abs(mean - 1.0) <= 4 * se
                         # the closed form is exact for one factor or an axis
                         # vector, and a strict lower bound on the other cells
                         if N == 1 or x_name == "e1":
@@ -130,7 +136,7 @@ def test_criterion_3_variance_closed_form_grid():
                         results.append(ok)
                         line = (
                             f"N={N} {dist_name:6s} k={k:<3d} T={T} x={x_name:5s} "
-                            f"emp={st.var_sq_norm:.5f} exact={pred:.5f} "
+                            f"emp={var:.5f} exact={pred:.5f} "
                             f"closed={closed:.5f} rel={rel:7.2%} "
                             f"closed_gap={closed_gap:7.2%}"
                         )
@@ -159,11 +165,11 @@ def test_criterion_4_replicate_averaging_shrinks_variance():
     ok = True
     details = []
     for i, (T, want) in enumerate([(1, 0.8), (5, 0.32), (25, 0.224)]):
-        st = isometry_stats((4, 2), 10, GAUSS, e1, 1_000_000, SeedSpec(8).child(i), T=T)
-        variances.append(st.var_sq_norm)
-        rel = abs(st.var_sq_norm - want) / want
+        _, _, var = _isometry((4, 2), 10, GAUSS, e1, 1_000_000, SeedSpec(8).child(i), T=T)
+        variances.append(var)
+        rel = abs(var - want) / want
         ok = ok and rel <= 0.05
-        details.append(f"T={T}: {st.var_sq_norm:.4f} (want {want}, off {rel:.1%})")
+        details.append(f"T={T}: {var:.4f} (want {want}, off {rel:.1%})")
     ok = ok and variances[0] >= variances[1] >= variances[2]
     _report(4, ok, "; ".join(details) + "; non-increasing in T")
 

@@ -13,13 +13,18 @@ def test_removed_public_names_stay_removed():
     # Map factories and the per-map estimators built on them were replaced
     # by build_map and the reductions of squared_norm_samples; sample_matrix
     # and very_sparse_delta only re-checked what build_conventional and
-    # EntryDistribution.very_sparse check.
+    # EntryDistribution.very_sparse check.  isometry_stats (and its
+    # IsometryStats) only reduced squared_norm_samples' vector, and
+    # polarization_check is a test oracle.
     removed = (
         "make_factory",
         "empirical_isometry",
         "tail_exceedance",
         "sample_matrix",
         "very_sparse_delta",
+        "isometry_stats",
+        "IsometryStats",
+        "polarization_check",
     )
     for name in removed:
         assert name not in tensorproj.__all__

@@ -9,10 +9,12 @@ another BLAS may round differently.
 """
 
 import hashlib
+import warnings
 
 import pytest
 
 from tensorproj.cli import main
+from tensorproj.sketch import RankDeficiencyWarning
 
 GOLDEN = {
     "distance-sparse-order3": (
@@ -48,8 +50,8 @@ GOLDEN = {
          "--k", "2,4", "--reps", "2", "--T", "2", "--seed", "7"],
         "66b6d66d0d92b7291ac9c3eba6734d7ccb7291aa32acf92acb18d3c38df2fee0",
     ),
-    # Sparse-sign factors and the T-replicate average; some of its sketches
-    # are rank deficient.
+    # Sparse-sign factors and the T-replicate average; RANK_DEFICIENT counts
+    # its rank-deficient sketches.
     "sketch-very-sparse-order3": (
         ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4", "--dist", "very_sparse",
          "--k", "3,6", "--reps", "2", "--T", "3", "--seed", "8"],
@@ -57,10 +59,17 @@ GOLDEN = {
     ),
 }
 
+# RankDeficiencyWarnings a config raises, repeats included (12 raised, 6
+# distinct messages); every other config raises no warning.
+RANK_DEFICIENT = {"sketch-very-sparse-order3": 12}
+
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_cli_csv_matches_golden_digest(name, tmp_path):
     argv, digest = GOLDEN[name]
     out = tmp_path / "out.csv"
-    assert main(argv + ["--out", str(out)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--out", str(out)]) == 0
+    assert [w.category for w in caught] == [RankDeficiencyWarning] * RANK_DEFICIENT.get(name, 0)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

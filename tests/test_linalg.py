@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import kron_vec, linear_to_multi_index, mode_n_unfold, multi_index_to_linear
+from tensorproj.data import gen_synthetic, load_mnist
+from tensorproj.distributions import EntryDistribution, SeedSpec
 from tensorproj.linalg import khatri_rao, qr_factor
+from tensorproj.sketch import tucker_synthetic
+from tensorproj.stats import squared_norm_samples
 
 small_dims = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4)
 
@@ -281,3 +285,32 @@ def test_qr_wide_matrix_rejected():
 def test_qr_vector_rejected():
     with pytest.raises(ValueError):
         qr_factor(np.ones(4))
+
+
+# ---------------------------------------------------------------- size checks
+
+NON_INTEGER_SIZES = {
+    "squared_norm_samples-trials": ("trials", lambda: squared_norm_samples(
+        (2, 2), 3, EntryDistribution.gaussian(), np.ones(4), 2.5, SeedSpec(0))),
+    "very_sparse-dim": ("dim", lambda: EntryDistribution.very_sparse(2.5)),
+    "gen_synthetic-d": ("d", lambda: gen_synthetic(2.5, 3, SeedSpec(0))),
+    "gen_synthetic-n": ("n", lambda: gen_synthetic(3, 2.5, SeedSpec(0))),
+    "load_mnist-n": ("n", lambda: load_mnist("never-opened.idx", 2.5)),
+    "tucker_synthetic-side": ("side", lambda: tucker_synthetic(4.0, 2, 1, SeedSpec(0))),
+    "tucker_synthetic-order": ("order", lambda: tucker_synthetic(4, 2.0, 1, SeedSpec(0))),
+    "tucker_synthetic-core_rank": ("core_rank", lambda: tucker_synthetic(4, 2, 1.5, SeedSpec(0))),
+}
+
+
+@pytest.mark.parametrize("name,call", NON_INTEGER_SIZES.values(), ids=NON_INTEGER_SIZES.keys())
+def test_every_size_argument_refuses_a_non_integer(name, call):
+    # A float size used to fail later with a numpy or builtin TypeError, or
+    # (very_sparse) to give the rate of a dimension that does not exist.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_sizes_take_numpy_integers():
+    assert EntryDistribution.very_sparse(np.int64(4)).delta == 0.5
+    assert gen_synthetic(np.int64(3), np.uint8(2), SeedSpec(0)).shape == (2, 3)
+    assert tucker_synthetic(np.int64(4), np.int64(2), np.int64(1), SeedSpec(0)).shape == (4, 4)

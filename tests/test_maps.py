@@ -29,10 +29,8 @@ from tensorproj.sketch import (
 from tensorproj.stats import (
     cosine_similarity_rmse,
     exact_variance,
-    isometry_stats,
     pair_distances,
     pairwise_distance_ratio,
-    polarization_check,
     squared_norm_samples,
     theoretical_variance,
 )
@@ -212,7 +210,6 @@ _MC = np.ones((6, 12), dtype=complex)  # a complex 6 x 12 matrix
 _M = np.arange(72.0).reshape(6, 12) % 7 + 1.0
 COMPLEX_CALLS = {
     "squared_norm_samples": lambda: squared_norm_samples((3, 4), 2, GAUSS, _XC, 3, SeedSpec(0)),
-    "isometry_stats": lambda: isometry_stats((3, 4), 2, GAUSS, _XC, 3, SeedSpec(0)),
     "theoretical_variance": lambda: theoretical_variance(_XC, 3.0, 2),
     "exact_variance": lambda: exact_variance(_XC, (3, 4), 3.0, 2),
     "pair_distances": lambda: pair_distances(_PC),
@@ -224,7 +221,6 @@ COMPLEX_CALLS = {
     "cosine_similarity_rmse-map-output": lambda: cosine_similarity_rmse(
         _PC.real, [lambda x: x * 1j]
     ),
-    "polarization_check": lambda: polarization_check(lambda x: x[:2], _XC, _XC.real),
     "low_rank_approx": lambda: low_rank_approx(_MC, BOUNDARY_MAPS["trp"]()),
     "low_rank_approx-sketch": lambda: low_rank_approx(_M, lambda x: x[:, :2] * 1j),
     "averaged_low_rank_approx": lambda: averaged_low_rank_approx(_MC, BOUNDARY_MAPS["ensemble"]()),
