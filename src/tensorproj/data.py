@@ -68,7 +68,5 @@ def load_mnist(path: str, n: int) -> np.ndarray:
 
 def gen_synthetic(d: int, n: int, seed: SeedSpec) -> np.ndarray:
     """``n`` i.i.d. standard normal vectors of length ``d``, one per row."""
-    if d < 1 or n < 1:
-        raise ValueError(f"need positive sizes, got d={d}, n={n}")
     _check_sizes(d=d, n=n)
     return seed.generator().standard_normal((n, d))

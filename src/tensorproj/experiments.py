@@ -39,6 +39,7 @@ import numpy as np
 
 from .data import gen_synthetic, load_mnist
 from .distributions import EntryDistribution, SeedSpec, very_sparse_family
+from .linalg import _check_sizes
 from .maps import MAP_KINDS, build_map
 from .sketch import (
     averaged_low_rank_approx,
@@ -127,16 +128,16 @@ def _validate(cfg: ExperimentConfig) -> None:
     for kind in cfg.map_kinds:
         if kind not in MAP_KINDS:
             raise ConfigError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
-    if not cfg.dims or any(d < 1 for d in cfg.dims):
-        raise ConfigError(f"dims must be positive, got {cfg.dims}")
-    if not cfg.k_sweep or any(k < 1 for k in cfg.k_sweep):
-        raise ConfigError(f"k values must be positive, got {cfg.k_sweep}")
+    sizes = {"dims": tuple(cfg.dims), "k values": tuple(cfg.k_sweep), "T": cfg.T,
+             "replications": cfg.replications, "order": cfg.order}
+    if cfg.experiment in ("distance", "cosine"):
+        sizes["n_points"] = cfg.n_points
+    try:
+        _check_sizes(**sizes)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     if len(set(cfg.k_sweep)) != len(cfg.k_sweep):
         raise ConfigError(f"k values must be distinct, got {cfg.k_sweep}")
-    if cfg.T < 1:
-        raise ConfigError(f"T must be positive, got {cfg.T}")
-    if cfg.replications < 1:
-        raise ConfigError(f"replications must be positive, got {cfg.replications}")
     if cfg.experiment in ("distance", "cosine") and cfg.n_points < 2:
         raise ConfigError(f"{cfg.experiment} needs at least 2 points")
     if cfg.mnist_path is not None and cfg.d != 784:

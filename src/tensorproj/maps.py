@@ -17,8 +17,8 @@ Storage drops from ``k * d`` for a dense map to ``k * sum(d_i)``.
 
 ``TrpEnsemble`` averages T independent TRPs with a ``1/sqrt(T)`` scale so the
 map stays an expected isometry while the fourth-moment part of the squared
-norm variance shrinks by ``1/T``.  ``ConventionalRp`` is the unstructured
-dense baseline (structurally the N=1 special case).
+norm variance shrinks by ``1/T``.  ``ConventionalRp``, the unstructured
+dense baseline, is the one-factor TRP with a dense ``apply``.
 
 Maps are built one at a time, by kind: :func:`build_map` returns the one
 map of a kind drawn from a seed, and a replicated run builds map i from the
@@ -195,24 +195,17 @@ class TrpEnsemble:
         return sum(rep.storage_count() for rep in self.replicates)
 
 
-@dataclass(frozen=True, eq=False)
-class ConventionalRp:
-    """Dense unstructured random projection, the baseline to beat on storage."""
+class ConventionalRp(TensorRandomProjection):
+    """Dense unstructured random projection: the one-factor TRP, ``d x k``.
 
-    matrix: np.ndarray
-    dist: EntryDistribution
-
-    def __post_init__(self) -> None:
-        if self.matrix.ndim != 2:
-            raise ValueError("projection matrix must be 2-D")
+    Shape, storage, sparsity and :meth:`materialize` are the TRP's; only
+    ``apply`` is its own, a plain ``x @ matrix / sqrt(k)`` for every entry
+    distribution (the sign-pattern kernel rounds differently).
+    """
 
     @property
-    def d(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[1]
+    def matrix(self) -> np.ndarray:
+        return self.factors[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         xs, single = _as_batch(x, self.d)
@@ -220,12 +213,6 @@ class ConventionalRp:
         return y[0] if single else y
 
     __call__ = apply
-
-    def storage_count(self) -> int:
-        return self.d * self.k
-
-    def expected_sparsity(self) -> float:
-        return self.dist.delta
 
 
 def build_trp(
@@ -264,7 +251,7 @@ def build_conventional(
     d: int, k: int, dist: EntryDistribution, seed: SeedSpec
 ) -> ConventionalRp:
     _check_shape((d,), k)
-    return ConventionalRp(_sample_array(dist, (d, k), seed.generator()), dist)
+    return ConventionalRp((_sample_array(dist, (d, k), seed.generator()),), (dist,))
 
 
 def build_map(

@@ -31,7 +31,7 @@ import numpy as np
 from .distributions import SeedSpec
 from .linalg import _as_real, _check_finite, _check_sizes, qr_factor
 from .maps import TrpEnsemble
-from .stats import Projection
+from .stats import Projection, _project
 
 NOISE_ENERGY_FRACTION = 0.01
 
@@ -75,9 +75,7 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
 
 def _range_basis(x: np.ndarray, omega: Projection) -> np.ndarray:
     """Orthonormal basis Q of one sketch Z = omega(rows of X); warns if Z is rank deficient."""
-    z = _as_real(omega(x))
-    if z.shape[0] != x.shape[0]:
-        raise ValueError("sketch must keep one row per input row")
+    z = _project(omega, x)
     if z.shape[1] > x.shape[0]:
         raise ValueError(
             f"sketch size {z.shape[1]} exceeds row count {x.shape[0]}"

@@ -284,10 +284,12 @@ def _as_points(points: np.ndarray) -> np.ndarray:
 
 
 def _project(project: Projection, pts: np.ndarray) -> np.ndarray:
-    """``project(pts)`` as floats, which must keep one row per point."""
+    """``project(pts)``, the one check of a map's image: real, finite, one row per point."""
     out = _as_real(project(pts))
     if out.ndim != 2 or len(out) != len(pts):
         raise ValueError(f"map must return one row per point, got {out.shape} for {len(pts)}")
+    if not np.isfinite(out).all():
+        raise ValueError("map returned NaN or infinite entries")
     return out
 
 
@@ -351,12 +353,13 @@ def cosine_similarity_rmse(points: np.ndarray, maps: Iterable[Projection]) -> Co
     Each map of ``maps``, in order, gives the root-mean-square error over
     all point pairs; reported is the mean across maps with its standard
     error.  The maps are applied one at a time, so a generator that builds
-    each on demand holds one map at once.  A zero-norm input point and an
-    empty ``maps`` are errors.  A pair with a point the map sends to zero
-    has no projected cosine; such pairs are skipped and counted over all
-    maps.  A map that leaves no pair (a sparse map can be the zero map) has
-    no RMSE: its ``per_rep`` entry is NaN, and the mean and standard error
-    are taken over the other maps (NaN if there are none).
+    each on demand holds one map at once.  A zero-norm input point, an empty
+    ``maps`` and a map image with NaN or inf entries are errors.  A pair
+    with a point the map sends to zero has no projected cosine; such pairs
+    are skipped and counted over all maps.  A map that leaves no pair (a
+    sparse map can be the zero map) has no RMSE: its ``per_rep`` entry is
+    NaN, and the mean and standard error are taken over the other maps (NaN
+    if there are none).
     """
     pts = _as_points(points)
     iu = np.triu_indices(pts.shape[0], k=1)

@@ -3,8 +3,8 @@
 Each test prints one line ``CRITERION n: PASS/FAIL - detail`` (collected in
 the terminal summary) and asserts it.  Tolerances and trial counts are stated
 inline; seeds are fixed so reruns are bit-reproducible.  The full run takes
-around twelve minutes, almost all of it in the million-trial variance grid of
-criterion 3.
+around seven minutes on a 2-core x86-64 machine, almost all of it in the
+million-trial variance grid of criterion 3.
 """
 
 import math

@@ -95,7 +95,7 @@ def test_gen_synthetic_shape_and_scale():
 
 
 def test_gen_synthetic_validation():
-    with pytest.raises(ValueError, match="positive sizes"):
+    with pytest.raises(ValueError, match="d must be positive"):
         gen_synthetic(0, 5, SeedSpec(0))
-    with pytest.raises(ValueError, match="positive sizes"):
+    with pytest.raises(ValueError, match="n must be positive"):
         gen_synthetic(5, 0, SeedSpec(0))

@@ -85,6 +85,31 @@ def test_config_rejections(overrides, match):
         run_experiment(make_config(**overrides))
 
 
+@pytest.mark.parametrize(
+    "overrides,match",
+    [
+        (dict(replications=2.5), "replications must be an integer, got 2.5"),
+        (dict(T=2.0), "T must be an integer, got 2.0"),
+        (dict(order=2.0), "order must be an integer, got 2.0"),
+        (dict(n_points=5.0), "n_points must be an integer, got 5.0"),
+        (dict(experiment="cosine", n_points=0), "n_points must be positive, got 0"),
+        (dict(dims=(4, 3.0)), "dims must be integers"),
+        (dict(k_sweep=(2, 4.0)), "k values must be integers"),
+    ],
+)
+def test_config_sizes_follow_the_package_size_rule(overrides, match):
+    # A float used to fail late: replications=2.5 with a builtin TypeError
+    # in the cell loop, n_points=5.0 with a ValueError that was no
+    # ConfigError, and T=2.0 or order=2.0 not at all.
+    with pytest.raises(ConfigError, match=match):
+        run_experiment(make_config(**overrides))
+
+
+def test_config_sizes_may_be_lists():
+    as_lists = run_experiment(make_config(dims=[4, 3], k_sweep=[2, 4]))
+    assert [r.value for r in as_lists] == [r.value for r in run_experiment(make_config())]
+
+
 def test_config_error_is_a_value_error():
     assert issubclass(ConfigError, ValueError)
 

@@ -482,6 +482,21 @@ def test_conventional_rp_applies_scaled_matrix():
         build_conventional(0, 4, GAUSS, SeedSpec(0))
 
 
+@pytest.mark.parametrize("dist", [GAUSS, SPARSE], ids=["gaussian", "sparse"])
+def test_conventional_rp_is_a_one_factor_trp(dist):
+    rp = build_conventional(30, 6, dist, SeedSpec(16))
+    assert isinstance(rp, TensorRandomProjection)
+    assert rp.factors == (rp.matrix,) and rp.dists == (dist,)
+    assert rp.dims == (30,) and (rp.d, rp.k) == (30, 6)
+    assert rp.storage_count() == 30 * 6
+    assert rp.expected_sparsity() == dist.delta
+    assert_array_equal(rp.materialize(), rp.matrix)
+    # Its own dense apply, bitwise, not the TRP's sign-pattern kernel.
+    x = np.random.default_rng(3).standard_normal((20, 30))
+    assert_array_equal(rp.apply(x), (x @ rp.matrix) / math.sqrt(6))
+    assert_array_equal(rp(x[0]), (x[:1] @ rp.matrix)[0] / math.sqrt(6))
+
+
 def test_build_map_kinds():
     fac = lambda i: build_map("trp", (3, 3), 2, GAUSS, 1, SeedSpec(14).child(i))
     assert isinstance(fac(0), TensorRandomProjection)

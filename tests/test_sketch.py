@@ -66,11 +66,17 @@ def test_low_rank_approx_validation():
     omega = build_trp((2, 2), 2, GAUSS, SeedSpec(0))
     with pytest.raises(ValueError, match="expects a matrix"):
         low_rank_approx(np.ones(4), omega)
-    with pytest.raises(ValueError, match="one row per input row"):
+    with pytest.raises(ValueError, match="one row per point"):
         low_rank_approx(np.ones((5, 4)), lambda p: p[:3])
     big = build_trp((2, 2), 9, GAUSS, SeedSpec(0))
     with pytest.raises(ValueError, match="exceeds row count"):
         low_rank_approx(np.ones((5, 4)), big)
+
+
+def test_low_rank_approx_rejects_a_one_dimensional_sketch():
+    # A map returning one value per row used to fail with an IndexError.
+    with pytest.raises(ValueError, match=r"one row per point, got \(5,\) for 5"):
+        low_rank_approx(np.ones((5, 4)), lambda p: p[:, 0])
 
 
 def test_approximation_never_beats_the_trivial_bound():

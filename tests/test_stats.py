@@ -490,6 +490,16 @@ def test_estimators_reject_a_map_that_changes_the_point_count(estimate):
         estimate(pts, lambda p: p[:, 0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cosine_rmse_rejects_a_map_with_non_finite_output(bad):
+    # A NaN image used to count as a draw that leaves no pair: it was left
+    # out of the mean with nothing skipped and no error.
+    pts = np.random.default_rng(6).standard_normal((5, 4))
+    poisoned = lambda p: np.full_like(p, bad)
+    with pytest.raises(ValueError, match="map returned NaN or infinite entries"):
+        cosine_similarity_rmse(pts, [poisoned, lambda p: p, lambda p: 2.0 * p])
+
+
 def test_distance_ratio_identity_map_is_exactly_one():
     pts = np.random.default_rng(6).standard_normal((7, 5))
     report = pairwise_distance_ratio(pts, lambda p: p)
