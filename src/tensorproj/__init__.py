@@ -1,12 +1,7 @@
 """Khatri-Rao structured random projections and sketching benchmarks."""
 
-from .distributions import (
-    EntryDistribution,
-    SeedSpec,
-    per_factor,
-    very_sparse_family,
-)
-from .linalg import QrFactor, khatri_rao, qr_factor
+from .distributions import EntryDistribution, SeedSpec, very_sparse_family
+from .linalg import khatri_rao, qr_factor
 from .maps import (
     ConventionalRp,
     TensorRandomProjection,
@@ -31,7 +26,6 @@ from .sketch import (
     RankDeficiencyWarning,
     averaged_low_rank_approx,
     low_rank_approx,
-    multi_mode_product,
     relative_error,
     tucker_synthetic,
 )
@@ -55,7 +49,6 @@ __all__ = [
     "ExperimentRecord",
     "IdxFormatError",
     "LowRank",
-    "QrFactor",
     "RankDeficiencyWarning",
     "SeedSpec",
     "TensorRandomProjection",
@@ -71,10 +64,8 @@ __all__ = [
     "khatri_rao",
     "load_mnist",
     "low_rank_approx",
-    "multi_mode_product",
     "pair_distances",
     "pairwise_distance_ratio",
-    "per_factor",
     "qr_factor",
     "read_csv",
     "relative_error",

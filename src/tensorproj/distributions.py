@@ -74,7 +74,7 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         for i in (self.base_seed, *self.path):
-            if not isinstance(i, (int, np.integer)):
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
                 raise ValueError(
                     "base_seed and path entries must be integers, "
                     f"got base_seed={self.base_seed!r}, path={self.path!r}"
@@ -85,8 +85,6 @@ class SeedSpec:
             raise ValueError("path indices must be non-negative")
 
     def child(self, index: int) -> "SeedSpec":
-        if index < 0:
-            raise ValueError("child index must be non-negative")
         return SeedSpec(self.base_seed, self.path + (index,))
 
     def generator(self) -> np.random.Generator:
@@ -111,7 +109,7 @@ def _sample_array(
     return u
 
 
-def per_factor(
+def _per_factor(
     dist: EntryDistribution | Sequence[EntryDistribution], order: int
 ) -> tuple[EntryDistribution, ...]:
     """Broadcast a single distribution (or validate a sequence) to ``order`` factors."""

@@ -134,6 +134,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         sizes["n_points"] = cfg.n_points
     try:
         _check_sizes(**sizes)
+        SeedSpec(cfg.base_seed)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     if len(set(cfg.k_sweep)) != len(cfg.k_sweep):

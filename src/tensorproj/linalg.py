@@ -37,12 +37,12 @@ def _check_sizes(**sizes: object) -> None:
     Each value, or each entry of a tuple value (which must not be empty), is
     a positive ``int`` or ``np.integer``.  Like
     :class:`~tensorproj.distributions.SeedSpec`, a float is refused, not
-    truncated.
+    truncated, and so is a ``bool``.
     """
     for name, value in sizes.items():
         many = isinstance(value, tuple)
         values = value if many else (value,)
-        if not all(isinstance(v, (int, np.integer)) for v in values):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
             raise ValueError(f"{name} must be {'integers' if many else 'an integer'}, got {value!r}")
         if not values or min(values) < 1:
             raise ValueError(f"{name} must be positive, got {value}")

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import EntryDistribution, SeedSpec, _sample_array, per_factor
+from .distributions import EntryDistribution, SeedSpec, _per_factor, _sample_array
 from .linalg import _as_real, _check_finite, _check_shape, khatri_rao
 
 # Ceiling on d * k when materializing an explicit projection matrix.
@@ -223,7 +223,7 @@ def build_trp(
 ) -> TensorRandomProjection:
     """Sample a TRP; factor ``i`` draws from the seed's child stream ``i``."""
     dims = _check_shape(dims, k)
-    dists = per_factor(dist, len(dims))
+    dists = _per_factor(dist, len(dims))
     factors = tuple(
         _sample_array(dists[i], (dims[i], k), seed.child(i).generator())
         for i in range(len(dims))
@@ -240,10 +240,11 @@ def build_ensemble(
 ) -> TrpEnsemble:
     """Sample T independent TRPs; replicate ``t`` uses the seed's child ``t``.
 
-    Replicates never share factors.
+    Replicates never share factors; they share the distributions, resolved once.
     """
     dims = _check_shape(dims, k, T)
-    reps = tuple(build_trp(dims, k, dist, seed.child(t)) for t in range(T))
+    dists = _per_factor(dist, len(dims))
+    reps = tuple(build_trp(dims, k, dists, seed.child(t)) for t in range(T))
     return TrpEnsemble(reps)
 
 

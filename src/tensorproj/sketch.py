@@ -10,9 +10,11 @@ ensemble's own; the mean stays factored too, and its T bases are projected
 with one ``Q^T X`` over all Tk columns.  :func:`relative_error` scores a
 factored approximation from ``||X||^2``, ``Q^T X`` and the small Gram terms
 ``Q^T Q`` and ``B``, with no m x n product.  Each sketch forms ``Q^T X``
-once: scored against the same X object it was built from (and not modified
-in place since), an approximation reuses the product its builder formed;
-any other X and any hand-built :class:`LowRank` are scored as before.
+once: an approximation returned by a builder and scored against the same X
+object it was built from (which must not be modified in place since) reuses
+the product its builder formed.  The reuse is private to what the builders
+return; any other X, and any ``LowRank`` built by hand or with
+``dataclasses.replace``, is scored with a fresh ``Q^T X``.
 
 Synthetic targets come from a random Tucker model: an order-N core with
 uniform entries, orthonormal arm matrices, and white noise calibrated to 1%
@@ -48,20 +50,28 @@ class RankDeficiencyWarning(UserWarning):
 class LowRank:
     """The m x n matrix ``q @ b``, kept as its m x r and r x n factors.
 
-    The builders also keep the X they projected (a reference, never a copy)
-    as ``source`` and its projection ``Q^T X`` as ``qtx``, so that
-    :func:`relative_error` handed that same X object forms no second
-    ``Q^T X``.  A hand-built ``LowRank(q, b)`` has neither and is scored from
-    its own factors.
+    A builder also attaches, privately, the X it projected (a reference,
+    never a copy) and that X's ``Q^T X``, so that :func:`relative_error`
+    handed that same X object forms no second ``Q^T X``.  A ``LowRank``
+    built by hand or with ``dataclasses.replace`` has no such pair and is
+    scored from its own factors.
     """
 
     q: np.ndarray
     b: np.ndarray
-    source: np.ndarray | None = field(default=None, kw_only=True, repr=False)
-    qtx: np.ndarray | None = field(default=None, kw_only=True, repr=False)
+    _projected: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def dense(self) -> np.ndarray:
         return self.q @ self.b
+
+
+def _built(q: np.ndarray, b: np.ndarray, x: np.ndarray, qtx: np.ndarray) -> LowRank:
+    """``LowRank(q, b)`` that remembers ``qtx`` as the ``Q^T X`` of this very ``x``."""
+    approx = LowRank(q, b)
+    object.__setattr__(approx, "_projected", (x, qtx))
+    return approx
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
@@ -100,7 +110,7 @@ def low_rank_approx(x: np.ndarray, omega: Projection) -> LowRank:
     x = _as_matrix(x)
     q = _range_basis(x, omega)
     qtx = q.T @ x
-    return LowRank(q, qtx, source=x, qtx=qtx)
+    return _built(q, qtx, x, qtx)
 
 
 def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> LowRank:
@@ -117,10 +127,10 @@ def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> LowRank:
     x = _as_matrix(x)
     q = np.hstack([_range_basis(x, omega) for omega in ensemble.replicates])
     qtx = q.T @ x
-    return LowRank(q, qtx / ensemble.T, source=x, qtx=qtx)
+    return _built(q, qtx / ensemble.T, x, qtx)
 
 
-def multi_mode_product(core: np.ndarray, arms: Sequence[np.ndarray]) -> np.ndarray:
+def _multi_mode_product(core: np.ndarray, arms: Sequence[np.ndarray]) -> np.ndarray:
     """Multiply ``core`` by one matrix per mode (mode-n products)."""
     out = _as_real(core)
     arms = [_as_real(arm) for arm in arms]
@@ -163,7 +173,7 @@ def tucker_synthetic(
     for n in range(order):
         g = seed.child(1 + n).generator().standard_normal((side, core_rank))
         arms.append(qr_factor(g).q)
-    signal = multi_mode_product(core, arms)
+    signal = _multi_mode_product(core, arms)
     scale = math.sqrt(
         noise_fraction * float(np.sum(signal**2)) / side**order
     )
@@ -183,13 +193,13 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
     For a factored ``x_hat = LowRank(Q, B)`` the squared error is
     ``||X||^2 - 2 <Q^T X, B> + <(Q^T Q) B, B>``: one ``Q^T X`` and r x r
     Gram terms, no m x n product, and any ``B`` (not only ``Q^T X``).  When
-    ``x`` is the very object the builder projected (``x_hat.source``), its
-    ``Q^T X`` (``x_hat.qtx``) is reused instead of formed again; this
-    assumes ``x`` was not modified in place since the build.  Any other
-    ``x``, equal copies included, and any hand-built ``LowRank`` get a fresh
-    ``Q^T X``.  When the squared error falls below
-    ``FACTORED_ERROR_FLOOR * ||X||^2`` the subtraction has cancelled too many
-    digits and the dense residual is used instead.
+    ``x_hat`` came from a builder and ``x`` is the very object it projected,
+    the builder's ``Q^T X`` is reused instead of formed again; this assumes
+    ``x`` was not modified in place since the build.  Any other ``x``, equal
+    copies included, and any ``LowRank`` built by hand or with
+    ``dataclasses.replace`` get a fresh ``Q^T X``.  When the squared error
+    falls below ``FACTORED_ERROR_FLOOR * ||X||^2`` the subtraction has
+    cancelled too many digits and the dense residual is used instead.
     """
     x = _as_real(x, np.asanyarray)
     # ||X||^2 is finite exactly when no entry is NaN or infinite, barring
@@ -214,9 +224,10 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
     if norm_sq == 0.0:
         raise ValueError("relative error undefined for a zero reference")
     if isinstance(x_hat, LowRank):
+        source, qtx = x_hat._projected or (None, None)
         err_sq = (
             norm_sq
-            - 2.0 * float(np.vdot(x_hat.qtx if x_hat.source is x else q.T @ x, b))
+            - 2.0 * float(np.vdot(qtx if source is x else q.T @ x, b))
             + float(np.vdot((q.T @ q) @ b, b))
         )
         if err_sq >= FACTORED_ERROR_FLOOR * norm_sq:

@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .distributions import EntryDistribution, SeedSpec, _sample_array, per_factor
+from .distributions import EntryDistribution, SeedSpec, _per_factor, _sample_array
 from .linalg import _as_real, _check_finite, _check_shape, _check_sizes
 from .maps import _contract
 
@@ -260,7 +260,7 @@ def squared_norm_samples(
     values than the same trials inside a whole block.
     """
     dims = _check_shape(dims, k, T)
-    dists = per_factor(dist, len(dims))
+    dists = _per_factor(dist, len(dims))
     x = _check_input(x, dims)
     _check_sizes(trials=trials)
     block = max(1, _BLOCK_SCRATCH // _trial_scratch(dims, k, T))

@@ -15,7 +15,8 @@ def test_removed_public_names_stay_removed():
     # and very_sparse_delta only re-checked what build_conventional and
     # EntryDistribution.very_sparse check.  isometry_stats (and its
     # IsometryStats) only reduced squared_norm_samples' vector, and
-    # polarization_check is a test oracle.
+    # polarization_check is a test oracle.  QrFactor, multi_mode_product and
+    # per_factor had no caller outside the package.
     removed = (
         "make_factory",
         "empirical_isometry",
@@ -25,6 +26,9 @@ def test_removed_public_names_stay_removed():
         "isometry_stats",
         "IsometryStats",
         "polarization_check",
+        "QrFactor",
+        "multi_mode_product",
+        "per_factor",
     )
     for name in removed:
         assert name not in tensorproj.__all__

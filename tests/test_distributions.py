@@ -10,8 +10,8 @@ from numpy.testing import assert_array_equal
 from tensorproj.distributions import (
     EntryDistribution,
     SeedSpec,
+    _per_factor,
     _sample_array,
-    per_factor,
     very_sparse_family,
 )
 from tensorproj.maps import build_conventional
@@ -145,7 +145,10 @@ def test_seed_spec_validation():
         SeedSpec(0).child(-1)
 
 
-@pytest.mark.parametrize("base, path", [(1.5, ()), ("3", ()), (0, (1, 2.0)), (0, (None,))])
+@pytest.mark.parametrize(
+    "base, path",
+    [(1.5, ()), ("3", ()), (0, (1, 2.0)), (0, (None,)), (True, ()), (0, (1, True))],
+)
 def test_seed_spec_rejects_non_integers_when_constructed(base, path):
     # SeedSpec(1.5) used to construct and fail later inside numpy.
     with pytest.raises(ValueError, match="must be integers"):
@@ -153,6 +156,12 @@ def test_seed_spec_rejects_non_integers_when_constructed(base, path):
     assert SeedSpec(np.int64(3), (np.uint8(1),)).generator().random() == (
         SeedSpec(3, (1,)).generator().random()
     )
+
+
+def test_child_refuses_a_bool_index():
+    # child(True) used to give the path (True,).
+    with pytest.raises(ValueError, match="must be integers"):
+        SeedSpec(0).child(True)
 
 
 def test_child_appends_to_path():
@@ -191,10 +200,10 @@ def test_equal_specs_equal_streams(base, index):
 
 def test_per_factor_broadcasts_single():
     g = EntryDistribution.gaussian()
-    assert per_factor(g, 3) == (g, g, g)
+    assert _per_factor(g, 3) == (g, g, g)
 
 
 def test_per_factor_validates_length():
     g = EntryDistribution.gaussian()
     with pytest.raises(ValueError, match="3 distributions for 2 factors"):
-        per_factor((g, g, g), 2)
+        _per_factor((g, g, g), 2)

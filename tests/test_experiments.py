@@ -95,6 +95,10 @@ def test_config_rejections(overrides, match):
         (dict(experiment="cosine", n_points=0), "n_points must be positive, got 0"),
         (dict(dims=(4, 3.0)), "dims must be integers"),
         (dict(k_sweep=(2, 4.0)), "k values must be integers"),
+        (dict(replications=True), "replications must be an integer, got True"),
+        (dict(base_seed=True), "base_seed and path entries must be integers"),
+        (dict(base_seed=2.0), "base_seed and path entries must be integers"),
+        (dict(base_seed=-1), "base_seed must fit in an unsigned 64-bit integer"),
     ],
 )
 def test_config_sizes_follow_the_package_size_rule(overrides, match):

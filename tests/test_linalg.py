@@ -299,6 +299,9 @@ NON_INTEGER_SIZES = {
     "tucker_synthetic-side": ("side", lambda: tucker_synthetic(4.0, 2, 1, SeedSpec(0))),
     "tucker_synthetic-order": ("order", lambda: tucker_synthetic(4, 2.0, 1, SeedSpec(0))),
     "tucker_synthetic-core_rank": ("core_rank", lambda: tucker_synthetic(4, 2, 1.5, SeedSpec(0))),
+    # True passes every comparison as 1; numpy then refused it as a shape.
+    "tucker_synthetic-core_rank-bool": (
+        "core_rank", lambda: tucker_synthetic(6, 2, True, SeedSpec(0))),
 }
 
 

@@ -21,9 +21,9 @@ from tensorproj.maps import (
 )
 from tensorproj.sketch import (
     LowRank,
+    _multi_mode_product,
     averaged_low_rank_approx,
     low_rank_approx,
-    multi_mode_product,
     relative_error,
 )
 from tensorproj.stats import (
@@ -229,8 +229,8 @@ COMPLEX_CALLS = {
     "relative_error-factored-approx": lambda: relative_error(
         _M, LowRank(np.ones((6, 1), dtype=complex), np.ones((1, 12)))
     ),
-    "multi_mode_product": lambda: multi_mode_product(np.ones((2, 2)) * 1j, [np.eye(2)] * 2),
-    "multi_mode_product-arm": lambda: multi_mode_product(
+    "multi_mode_product": lambda: _multi_mode_product(np.ones((2, 2)) * 1j, [np.eye(2)] * 2),
+    "multi_mode_product-arm": lambda: _multi_mode_product(
         np.ones((2, 2)), [np.eye(2), np.eye(2) * 1j]
     ),
     "khatri_rao": lambda: khatri_rao(np.ones((2, 1)) * 1j + 1, np.ones((2, 1))),
@@ -285,6 +285,17 @@ def test_ensemble_decomposition():
 def test_ensemble_replicates_are_independent_draws():
     ens = build_ensemble((5, 5), 2, GAUSS, 3, SeedSpec(4))
     assert not np.array_equal(ens.replicates[0].factors[0], ens.replicates[1].factors[0])
+
+
+def test_ensemble_reads_an_iterator_of_distributions_once():
+    # Every replicate used to re-read the iterator, so replicate 1 found it
+    # empty: "got 0 distributions for 2 factors".
+    want = build_ensemble((2, 2), 3, (GAUSS, SPARSE), 2, SeedSpec(5))
+    got = build_ensemble((2, 2), 3, iter([GAUSS, SPARSE]), 2, SeedSpec(5))
+    for rep, ref in zip(got.replicates, want.replicates, strict=True):
+        assert rep.dists == ref.dists == (GAUSS, SPARSE)
+        for a, b in zip(rep.factors, ref.factors, strict=True):
+            assert_array_equal(a, b)
 
 
 def test_ensemble_requires_matching_replicates():
@@ -429,6 +440,8 @@ BAD_SHAPES = {
     "dims=2.5": (((2.5,), 2, 1), "dims must be integers, got (2.5,)"),
     "k=2.5": (((2, 3), 2.5, 1), "k must be an integer, got 2.5"),
     "T=2.5": (((2, 3), 2, 2.5), "T must be an integer, got 2.5"),
+    "k=True": (((2, 3), True, 1), "k must be an integer, got True"),
+    "T=True": (((2, 3), 2, True), "T must be an integer, got True"),
 }
 
 
@@ -464,6 +477,12 @@ def test_one_shape_check_for_every_builder_and_sampler(name, bad):
     with pytest.raises(ValueError) as err:
         _call_shape_checked(name, dims, k, T)
     assert str(err.value) == message
+
+
+def test_a_bool_dim_is_not_a_size():
+    # True used to pass as 1: build_trp((True, 3), ...) built dims (1, 3).
+    with pytest.raises(ValueError, match=r"^dims must be integers, got \(True, 3\)$"):
+        build_trp((True, 3), 2, GAUSS, SeedSpec(0))
 
 
 def test_shape_check_takes_numpy_integers_and_each_dense_dim():

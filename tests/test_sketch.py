@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -13,9 +14,9 @@ from tensorproj.maps import build_ensemble, build_trp
 from tensorproj.sketch import (
     LowRank,
     RankDeficiencyWarning,
+    _multi_mode_product,
     averaged_low_rank_approx,
     low_rank_approx,
-    multi_mode_product,
     relative_error,
     tucker_synthetic,
 )
@@ -157,7 +158,7 @@ def test_multi_mode_product_matrix_case():
     core = rng.standard_normal((3, 4))
     a = rng.standard_normal((6, 3))
     b = rng.standard_normal((5, 4))
-    assert_allclose(multi_mode_product(core, [a, b]), a @ core @ b.T, atol=1e-12)
+    assert_allclose(_multi_mode_product(core, [a, b]), a @ core @ b.T, atol=1e-12)
 
 
 def test_multi_mode_product_order_three():
@@ -165,12 +166,12 @@ def test_multi_mode_product_order_three():
     core = rng.standard_normal((2, 3, 2))
     arms = [rng.standard_normal((4, 2)), rng.standard_normal((5, 3)), rng.standard_normal((3, 2))]
     want = np.einsum("abc,ia,jb,kc->ijk", core, *arms)
-    assert_allclose(multi_mode_product(core, arms), want, atol=1e-12)
+    assert_allclose(_multi_mode_product(core, arms), want, atol=1e-12)
 
 
 def test_multi_mode_product_arm_count_must_match():
     with pytest.raises(ValueError, match="modes"):
-        multi_mode_product(np.ones((2, 2)), [np.ones((3, 2))])
+        _multi_mode_product(np.ones((2, 2)), [np.ones((3, 2))])
 
 
 def test_noiseless_tensor_has_core_rank_unfoldings():
@@ -207,7 +208,7 @@ def test_tucker_synthetic_is_signal_plus_scaled_noise(order):
         qr_factor(seed.child(1 + n).generator().standard_normal((side, rank))).q
         for n in range(order)
     ]
-    signal = multi_mode_product(core, arms)
+    signal = _multi_mode_product(core, arms)
     scale = np.sqrt(0.01 * float(np.sum(signal**2)) / side**order)
     noise = seed.child(1 + order).generator().standard_normal(signal.shape)
     got = tucker_synthetic(side, order, rank, seed)
@@ -332,6 +333,29 @@ def test_scoring_another_x_forms_its_own_projection():
             want = np.linalg.norm(y - approx.dense()) / np.linalg.norm(y)
             assert want > 0.01
             assert relative_error(y, approx) == pytest.approx(want, rel=1e-10)
+
+
+def test_a_replaced_basis_is_scored_with_a_fresh_projection():
+    # replace() used to carry the builder's Q^T X over to the new basis, and
+    # relative_error then scored the old projection against it.
+    x = noisy_low_rank(39)
+    ensemble = build_ensemble((6, 8), 6, GAUSS, 5, SeedSpec(40))
+    rng = np.random.default_rng(41)
+    for approx in (
+        low_rank_approx(x, ensemble.replicates[0]),
+        averaged_low_rank_approx(x, ensemble),
+    ):
+        moved = dataclasses.replace(approx, q=qr_factor(rng.standard_normal(approx.q.shape)).q)
+        want = dense_error(x, moved)
+        assert want > 0.01
+        assert relative_error(x, moved) == pytest.approx(want, rel=1e-10)
+
+
+def test_low_rank_takes_only_its_factors():
+    q, b = np.eye(3, 2), np.ones((2, 4))
+    assert [f.name for f in dataclasses.fields(LowRank) if f.init] == ["q", "b"]
+    with pytest.raises(TypeError):
+        LowRank(q, b, source=q @ b, qtx=b)
 
 
 def counting_matmuls(x):

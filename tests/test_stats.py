@@ -13,8 +13,8 @@ from tensorproj import stats
 from tensorproj.distributions import (
     EntryDistribution,
     SeedSpec,
+    _per_factor,
     _sample_array,
-    per_factor,
     very_sparse_family,
 )
 from tensorproj.linalg import qr_factor
@@ -354,7 +354,7 @@ def test_contract_of_unbalanced_dims_forms_the_smallest_tail_block():
 def _block_stream_samples(dims, k, dist, x, trials, seed, T, block):
     """Reference sampler: blocks of ``block`` trials, block b drawn from
     ``seed.child(b)`` mode by mode and contracted in one kernel call."""
-    dists = per_factor(dist, len(dims))
+    dists = _per_factor(dist, len(dims))
     out = []
     for b, start in enumerate(range(0, trials, block)):
         n = min(block, trials - start)
