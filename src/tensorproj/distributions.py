@@ -39,6 +39,8 @@ class EntryDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "sparse_sign"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        if isinstance(self.delta, (bool, np.bool_)):
+            raise ValueError(f"delta must be a real number, got {self.delta!r}")
         if self.kind == "gaussian" and self.delta != 1.0:
             raise ValueError("gaussian entries have no sparsity parameter")
         if not 0.0 < self.delta <= 1.0:

@@ -12,7 +12,9 @@ default 2) and side s with ``s**(N - 1) = d``, unfolded to an ``s x d``
 matrix; each map projects its d columns.  At N = 2 it is ``d x d``.
 
 Each experiment sweeps map kinds (``rp``, ``trp``, ``trp_t``) and sketch
-sizes k and emits one record per (map kind, k, replication).  A kind's
+sizes k and emits one :class:`ExperimentRecord` per (map kind, k,
+replication): a named tuple of the CSV columns, so a record is as cheap to
+build as a tuple and is copied with ``record._replace(...)``.  A kind's
 factor dims, replicate count T and entry distribution are decided in one
 place, :func:`_layout`.  The data is loaded once per run; a variance cell
 draws its samples in blocks, and every other cell scores one stream of
@@ -23,7 +25,9 @@ across repeated runs.
 
 CSV format: header ``experiment,map,dist,d,dims,k,T,rep,metric,value,stderr``,
 dims rendered as ``d1xd2x...``, floats with 17 significant digits (lossless
-for doubles), rows sorted by (experiment, map, k, rep).
+for doubles), rows sorted by (experiment, map, k, rep).  :func:`write_csv`
+formats the shared columns once per cell and writes the file a cell at a
+time through a temporary file that replaces ``path`` only when complete.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
-from typing import Sequence
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,8 +103,9 @@ class ExperimentConfig:
         return math.prod(self.dims)
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
+class ExperimentRecord(NamedTuple):
+    """One map draw's result: a CSV row, with the fields in column order."""
+
     experiment: str
     map_kind: str
     dist_kind: str
@@ -254,37 +259,31 @@ def _run_cell(
     ]
 
 
-def _format_value(value: float | None) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}"
-
-
 def write_csv(records: Sequence[ExperimentRecord], path: str) -> None:
     """Write records sorted by (experiment, map, k, rep); lossless floats.
 
-    The rows go to a temporary file next to ``path`` that then replaces it,
-    so a failed write leaves an existing file as it was.  A symlink at
-    ``path`` is followed.  The directory must be writable, and the new file
-    gets the process's default permissions, not the old file's.
+    The rows go, one cell at a time, to a temporary file next to ``path``
+    that then replaces it, so a failed write leaves an existing file as it
+    was.  A symlink at ``path`` is followed.  The directory must be
+    writable, and the new file gets the process's default permissions, not
+    the old file's.
     """
-    rows = sorted(records, key=attrgetter("experiment", "map_kind", "k", "rep"))
-    lines = [CSV_HEADER + "\n"]
-    # Rows of one cell share their first seven columns; format them once.
-    cell = attrgetter("experiment", "map_kind", "dist_kind", "d", "dims", "k", "T")
-    for (experiment, kind, dist, d, dims, k, T), group in groupby(rows, key=cell):
-        prefix = f"{experiment},{kind},{dist},{d},{'x'.join(map(str, dims))},{k},{T},"
-        lines.extend(
-            f"{prefix}{r.rep},{r.metric},{_format_value(r.value)},"
-            f"{_format_value(r.std_error)}\n"
-            for r in group
-        )
-    text = "".join(lines)
+    rows = sorted(records, key=itemgetter(0, 1, 5, 7))  # experiment, map_kind, k, rep
     path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as f:
-            f.write(text)
+            f.write(CSV_HEADER + "\n")
+            # Rows of one cell share their first seven fields, experiment
+            # through T; format them once.
+            cells = groupby(rows, key=itemgetter(slice(0, 7)))
+            for (experiment, kind, dist, d, dims, k, T), cell in cells:
+                prefix = f"{experiment},{kind},{dist},{d},{'x'.join(map(str, dims))},{k},{T},"
+                f.write("".join([
+                    f"{prefix}{r.rep},{r.metric},{r.value:.17g},"
+                    f"{'' if r.std_error is None else f'{r.std_error:.17g}'}\n"
+                    for r in cell
+                ]))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -299,22 +298,13 @@ def read_csv(path: str) -> list[ExperimentRecord]:
         raise ValueError(f"{path}: missing or unexpected header")
     records = []
     for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        records.append(
-            ExperimentRecord(
-                experiment=parts[0],
-                map_kind=parts[1],
-                dist_kind=parts[2],
-                d=int(parts[3]),
-                dims=tuple(int(t) for t in parts[4].split("x")),
-                k=int(parts[5]),
-                T=int(parts[6]),
-                rep=int(parts[7]),
-                metric=parts[8],
-                value=float(parts[9]),
-                std_error=None if parts[10] == "" else float(parts[10]),
-            )
-        )
+        try:
+            experiment, kind, dist, d, dims, k, T, rep, metric, value, se = line.split(",")
+            records.append(ExperimentRecord(
+                experiment, kind, dist, int(d), tuple(int(t) for t in dims.split("x")),
+                int(k), int(T), int(rep), metric, float(value),
+                None if se == "" else float(se),
+            ))
+        except ValueError as err:
+            raise ValueError(f"{path}: malformed row {line!r}") from err
     return records

@@ -164,6 +164,8 @@ def tucker_synthetic(
             f"core rank must lie in 1..{side} (the side length), got {core_rank}"
         )
     _check_sizes(core_rank=core_rank)
+    if isinstance(noise_fraction, (bool, np.bool_)):
+        raise ValueError(f"noise fraction must be a real number, got {noise_fraction!r}")
     if not 0.0 <= noise_fraction < math.inf:
         raise ValueError(
             f"noise fraction must be finite and non-negative, got {noise_fraction}"

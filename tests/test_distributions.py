@@ -36,6 +36,15 @@ def test_delta_outside_unit_interval_rejected(delta):
         EntryDistribution.sparse_sign(delta)
 
 
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_delta_refuses_a_bool(flag):
+    # True used to pass as delta 1: sparse_sign(True) built delta=True.
+    with pytest.raises(ValueError, match=f"delta must be a real number, got {flag!r}"):
+        EntryDistribution.sparse_sign(flag)
+    with pytest.raises(ValueError, match=f"delta must be a real number, got {flag!r}"):
+        EntryDistribution("gaussian", delta=flag)
+
+
 def test_fourth_moments():
     assert EntryDistribution.gaussian().fourth_moment() == 3.0
     assert EntryDistribution.sparse_sign(1 / 3).fourth_moment() == pytest.approx(3.0)

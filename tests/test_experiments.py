@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import weakref
 
@@ -317,13 +316,13 @@ def test_csv_bytes_equal_a_row_by_row_formatter(tmp_path):
     # standard errors, and a NaN value.
     base = ExperimentRecord("distance", "trp", "gaussian", 8, (4, 2), 3, 1, 0, "avg_ratio", 0.1)
     records = [
-        dataclasses.replace(base, map_kind="trp_t", T=5, rep=1, value=1 / 3, std_error=2.5e-300),
-        dataclasses.replace(base, rep=1, value=float("nan")),
-        dataclasses.replace(base, dims=(8,), map_kind="rp", k=10, value=-0.0, std_error=0.25),
-        dataclasses.replace(base, k=2, rep=2, std_error=1e17),
+        base._replace(map_kind="trp_t", T=5, rep=1, value=1 / 3, std_error=2.5e-300),
+        base._replace(rep=1, value=float("nan")),
+        base._replace(dims=(8,), map_kind="rp", k=10, value=-0.0, std_error=0.25),
+        base._replace(k=2, rep=2, std_error=1e17),
         base,
-        dataclasses.replace(base, map_kind="trp_t", T=5, value=7.0),
-        dataclasses.replace(base, k=2, rep=0),
+        base._replace(map_kind="trp_t", T=5, value=7.0),
+        base._replace(k=2, rep=0),
     ]
 
     def row(r):
@@ -349,8 +348,8 @@ def test_failed_write_leaves_the_existing_file_untouched(tmp_path):
     path = tmp_path / "out.csv"
     path.write_text("earlier results\n")
     good = ExperimentRecord("distance", "trp", "gaussian", 4, (4,), 2, 1, 0, "avg_ratio", 1.0)
-    # The second row fails to format after the first has been written.
-    bad = dataclasses.replace(good, rep=1, value="not a number")
+    # The second row fails to format after the header has been written.
+    bad = good._replace(rep=1, value="not a number")
     with pytest.raises(ValueError):
         write_csv([good, bad], str(path))
     assert path.read_text() == "earlier results\n"
@@ -373,6 +372,16 @@ def test_write_through_a_symlink_keeps_the_link(tmp_path):
     assert sorted(os.listdir(target.parent)) == ["out.csv"]
 
 
+def test_records_are_immutable_hashable_tuples():
+    rec = ExperimentRecord("distance", "trp", "gaussian", 8, (4, 2), 3, 1, 0, "avg_ratio", 0.5)
+    with pytest.raises(AttributeError):
+        rec.value = 1.0
+    assert len({rec, rec._replace(), rec._replace(rep=1)}) == 2
+    # The CSV's columns in the same order, three of them under longer names.
+    renamed = {"map": "map_kind", "dist": "dist_kind", "stderr": "std_error"}
+    assert ExperimentRecord._fields == tuple(renamed.get(c, c) for c in CSV_HEADER.split(","))
+
+
 def test_read_csv_rejects_foreign_files(tmp_path):
     path = tmp_path / "foreign.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -381,6 +390,22 @@ def test_read_csv_rejects_foreign_files(tmp_path):
     path.write_text(CSV_HEADER + "\ndistance,trp\n")
     with pytest.raises(ValueError, match="malformed row"):
         read_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "row,cause",
+    [
+        ("distance,trp,gaussian,8,4x2,ten,1,0,avg_ratio,1,", "invalid literal for int()"),
+        ("distance,trp,gaussian,8,4x,3,1,0,avg_ratio,1,", "invalid literal for int()"),
+        ("distance,trp,gaussian,8,4x2,3,1,0,avg_ratio,one,", "could not convert string to float"),
+    ],
+)
+def test_read_csv_names_a_row_with_an_unparsable_number(tmp_path, row, cause):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\n{row}\n")
+    with pytest.raises(ValueError, match=f"bad.csv: malformed row '{row}'") as info:
+        read_csv(str(path))
+    assert str(info.value.__cause__).startswith(cause)
 
 
 def test_float_formatting_survives_extremes(tmp_path):

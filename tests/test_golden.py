@@ -14,6 +14,7 @@ import warnings
 import pytest
 
 from tensorproj.cli import main
+from tensorproj.experiments import read_csv, write_csv
 from tensorproj.sketch import RankDeficiencyWarning
 
 GOLDEN = {
@@ -73,3 +74,12 @@ def test_cli_csv_matches_golden_digest(name, tmp_path):
         assert main(argv + ["--out", str(out)]) == 0
     assert [w.category for w in caught] == [RankDeficiencyWarning] * RANK_DEFICIENT.get(name, 0)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_csv_round_trips_byte_for_byte(tmp_path):
+    # The benchmark harness checks every run's CSV through this round trip.
+    argv, _ = GOLDEN["variance-gaussian-order3-blocks"]
+    out, copy = tmp_path / "out.csv", tmp_path / "copy.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    write_csv(read_csv(str(out)), str(copy))
+    assert copy.read_bytes() == out.read_bytes()

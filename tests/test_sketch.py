@@ -237,6 +237,13 @@ def test_tucker_synthetic_rejects_non_finite_noise_fraction(bad):
         tucker_synthetic(6, 2, 2, SeedSpec(0), noise_fraction=bad)
 
 
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_tucker_synthetic_refuses_a_bool_noise_fraction(flag):
+    # True used to run as noise_fraction=1.0, giving the same draw.
+    with pytest.raises(ValueError, match=f"noise fraction must be a real number, got {flag!r}"):
+        tucker_synthetic(4, 2, 2, SeedSpec(0), noise_fraction=flag)
+
+
 def test_relative_error_basics():
     x = np.ones((2, 2))
     assert relative_error(x, x) == 0.0
