@@ -16,7 +16,6 @@ from .stats import (
     DistortionReport,
     cosine_similarity_rmse,
     exact_variance,
-    pair_distances,
     pairwise_distance_ratio,
     squared_norm_samples,
     theoretical_variance,
@@ -64,7 +63,6 @@ __all__ = [
     "khatri_rao",
     "load_mnist",
     "low_rank_approx",
-    "pair_distances",
     "pairwise_distance_ratio",
     "qr_factor",
     "read_csv",

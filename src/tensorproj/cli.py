@@ -12,6 +12,8 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .data import IdxFormatError
 from .experiments import (
     DEFAULT_DIMS,
@@ -23,7 +25,7 @@ from .experiments import (
     run_experiment,
     write_csv,
 )
-from .stats import _mean_se
+from .linalg import _as_real
 
 DEFAULT_K_SWEEP = (5, 10, 25, 50, 100)
 DEFAULT_MAPS = "rp,trp,trp_t"
@@ -137,6 +139,20 @@ def build_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
         out_path=args.out,
         order=args.order,
     )
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float, int]:
+    """Mean, standard error of the mean and count of the non-NaN ``values``.
+
+    NaN marks a draw with no value.  With no values left the mean and the
+    standard error are NaN; with one the standard error is 0.
+    """
+    v = _as_real(values)
+    v = v[~np.isnan(v)]
+    if v.size == 0:
+        return math.nan, math.nan, 0
+    se = math.sqrt(float(v.var(ddof=1)) / v.size) if v.size > 1 else 0.0
+    return float(v.mean()), se, int(v.size)
 
 
 def _print_summary(records: list[ExperimentRecord]) -> None:

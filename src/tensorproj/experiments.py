@@ -16,12 +16,13 @@ sizes k and emits one :class:`ExperimentRecord` per (map kind, k,
 replication): a named tuple of the CSV columns, so a record is as cheap to
 build as a tuple and is copied with ``record._replace(...)``.  A kind's
 factor dims, replicate count T and entry distribution are decided in one
-place, :func:`_layout`.  The data is loaded once per run; a variance cell
-draws its samples in blocks, and every other cell scores one stream of
-maps built one at a time by :func:`tensorproj.maps.build_map`.  Runs are
-deterministic functions of the config: the base seed fans out per data
-source, map kind, k and replication, so the written CSV is byte-identical
-across repeated runs.
+place, :func:`_layout`.  A run's data is one array, loaded once: the
+points, the sketch target, or e_1 for variance.  A variance cell draws its
+samples in blocks; every other cell scores one stream of maps built one at
+a time by :func:`tensorproj.maps.build_map`, and its estimator returns one
+value per map.  Runs are deterministic functions of the config: the base
+seed fans out per data source, map kind, k and replication, so the written
+CSV is byte-identical across repeated runs.
 
 CSV format: header ``experiment,map,dist,d,dims,k,T,rep,metric,value,stderr``,
 dims rendered as ``d1xd2x...``, floats with 17 significant digits (lossless
@@ -51,12 +52,7 @@ from .sketch import (
     relative_error,
     tucker_synthetic,
 )
-from .stats import (
-    cosine_similarity_rmse,
-    pair_distances,
-    pairwise_distance_ratio,
-    squared_norm_samples,
-)
+from .stats import cosine_similarity_rmse, pairwise_distance_ratio, squared_norm_samples
 
 EXPERIMENTS = ("distance", "cosine", "variance", "sketch")
 DIST_KINDS = ("gaussian", "sparse", "very_sparse")
@@ -74,9 +70,6 @@ DEFAULT_DIMS: dict[int, tuple[int, ...]] = {
 }
 
 CSV_HEADER = "experiment,map,dist,d,dims,k,T,rep,metric,value,stderr"
-
-# What the cells of one run share: see :func:`_load_data`.
-_Data = np.ndarray | tuple[np.ndarray, np.ndarray] | None
 
 
 class ConfigError(ValueError):
@@ -144,6 +137,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(err)) from None
     if len(set(cfg.k_sweep)) != len(cfg.k_sweep):
         raise ConfigError(f"k values must be distinct, got {cfg.k_sweep}")
+    if len(set(cfg.map_kinds)) != len(cfg.map_kinds):
+        raise ConfigError(f"map kinds must be distinct, got {cfg.map_kinds}")
     if cfg.experiment in ("distance", "cosine") and cfg.n_points < 2:
         raise ConfigError(f"{cfg.experiment} needs at least 2 points")
     if cfg.mnist_path is not None and cfg.d != 784:
@@ -191,14 +186,14 @@ def _layout(
     return dims, (cfg.T if kind == "trp_t" else 1), dist
 
 
-def _load_data(cfg: ExperimentConfig, seed: SeedSpec) -> _Data:
-    """The data all cells of a run share, drawn from ``seed``.
+def _load_data(cfg: ExperimentConfig, seed: SeedSpec) -> np.ndarray:
+    """The one array all cells of a run share, drawn from ``seed``.
 
-    The points (cosine), the points and their pair distances (distance),
-    the ``s x d`` target (sketch), or None (variance, whose input is e_1).
+    The points (distance, cosine), the ``s x d`` target (sketch), or the
+    input e_1 (variance, which draws nothing here).
     """
     if cfg.experiment == "variance":
-        return None
+        return np.eye(1, cfg.d)[0]
     if cfg.experiment == "sketch":
         side = _sketch_side(cfg)
         return tucker_synthetic(side, cfg.order, SKETCH_CORE_RANK, seed).reshape(side, cfg.d)
@@ -206,7 +201,7 @@ def _load_data(cfg: ExperimentConfig, seed: SeedSpec) -> _Data:
         points = gen_synthetic(cfg.d, cfg.n_points, seed)
     else:
         points = load_mnist(cfg.mnist_path, cfg.n_points)
-    return (points, pair_distances(points)) if cfg.experiment == "distance" else points
+    return points
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -223,7 +218,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 
 
 def _run_cell(
-    cfg: ExperimentConfig, kind: str, k: int, cell_seed: SeedSpec, data: _Data
+    cfg: ExperimentConfig, kind: str, k: int, cell_seed: SeedSpec, data: np.ndarray
 ) -> list[ExperimentRecord]:
     """The records of one (map kind, k) cell, one per rep in rep order."""
     reps = cfg.replications
@@ -238,14 +233,11 @@ def _run_cell(
     maps = map(lambda seed: build_map(kind, dims, k, dist, T, seed), seeds)
     spreads = [None] * reps
     if cfg.experiment == "variance":
-        e1 = np.eye(1, cfg.d)[0]
         metric = "sq_norm_ratio"
-        values = squared_norm_samples(dims, k, dist, e1, reps, cell_seed, T=T).tolist()
+        values = squared_norm_samples(dims, k, dist, data, reps, cell_seed, T=T).tolist()
     elif cfg.experiment == "distance":
-        points, original = data
-        reports = map(lambda f: pairwise_distance_ratio(points, f, original), maps)
-        metric = "avg_ratio"
-        values, spreads = zip(*((r.avg_ratio, r.std_ratio) for r in reports))
+        report = pairwise_distance_ratio(data, maps)
+        metric, values, spreads = "avg_ratio", report.avg_ratio, report.std_ratio.tolist()
     elif cfg.experiment == "cosine":
         metric, values = "rmse", cosine_similarity_rmse(data, maps).per_rep.tolist()
     else:

@@ -85,10 +85,14 @@ class TensorRandomProjection:
             raise ValueError("a projection needs at least one factor")
         if len(self.factors) != len(self.dists):
             raise ValueError("one entry distribution per factor is required")
-        k = self.factors[0].shape[1]
-        for f in self.factors:
-            if f.ndim != 2 or f.shape[1] != k:
+        # A builder's float64 factors pass through as the same objects.
+        factors = tuple(_check_finite(_as_real(f)) for f in self.factors)
+        for f in factors:
+            if f.ndim != 2:
+                raise ValueError(f"each factor must be a (d_i, k) matrix, got shape {f.shape}")
+            if f.shape[1] != factors[0].shape[1]:
                 raise ValueError("factors must share the same column count")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def dims(self) -> tuple[int, ...]:

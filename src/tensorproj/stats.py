@@ -41,9 +41,12 @@ near ``_BLOCK_SCRATCH`` entries, and its size depends only on the shape, so
 it is part of the stream definition.  Its callers take every Monte-Carlo
 statistic (mean, variance, standard error) as a reduction of its vector.
 
-The distance and cosine estimators score maps built one at a time, by kind
-(:func:`tensorproj.maps.build_map`): ``pairwise_distance_ratio`` scores one
-map and ``cosine_similarity_rmse`` one RMSE per map of an iterable.
+The distance and cosine estimators share one contract: they take the points
+and an iterable of maps (built one at a time by kind,
+:func:`tensorproj.maps.build_map`), compute the points' own pair distances
+or cosines once, hold one map at a time and return one value per map.
+Reductions across maps, such as a mean and its standard error, are the
+caller's.
 """
 
 from __future__ import annotations
@@ -64,16 +67,16 @@ Projection = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class DistortionReport:
-    avg_ratio: float
-    std_ratio: float
+    """Per map: the mean and std of its ratios, and its ``(maps, kept pairs)`` ratios."""
+
+    avg_ratio: np.ndarray
+    std_ratio: np.ndarray
     ratios: np.ndarray
     skipped_pairs: int
 
 
 @dataclass(frozen=True)
 class CosineRmse:
-    mean_rmse: float
-    std_error: float
     per_rep: np.ndarray
     skipped_pairs: int
 
@@ -180,20 +183,6 @@ def exact_variance(
     return (ez4 - 3.0 * norm2_4) / (T * k) + 2.0 / k * norm2_4
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float, int]:
-    """Mean, standard error of the mean and count of the non-NaN ``values``.
-
-    NaN marks a draw with no value.  With no values left the mean and the
-    standard error are NaN; with one the standard error is 0.
-    """
-    v = _as_real(values)
-    v = v[~np.isnan(v)]
-    if v.size == 0:
-        return math.nan, math.nan, 0
-    se = math.sqrt(float(v.var(ddof=1)) / v.size) if v.size > 1 else 0.0
-    return float(v.mean()), se, int(v.size)
-
-
 # Float64 entries (4 MB) of drawn factors and kernel scratch that one block
 # of trials may hold, unless one trial alone needs more; see
 # :func:`_trial_scratch`.  It fixes the block size and so the sampler's
@@ -293,50 +282,48 @@ def _project(project: Projection, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_distances(points: np.ndarray) -> np.ndarray:
+def _pair_distances(points: np.ndarray) -> np.ndarray:
     """Distances between point rows i < j, in ``np.triu_indices`` order.
 
     Computed one row at a time, so memory stays at one ``(n, d)`` difference
-    block; pass the result as ``original`` to :func:`pairwise_distance_ratio`
-    to reuse it across map draws.
+    block.  The arithmetic is ``np.linalg.norm(diff, axis=1)``'s, bit for bit,
+    without its copies: the estimators call this once per map and once per
+    stream of maps.
     """
     pts = _as_points(points)
-    return np.concatenate(
-        [np.linalg.norm(pts[a + 1 :] - pts[a], axis=1) for a in range(len(pts) - 1)]
-    )
+    diffs = (pts[a + 1 :] - pts[a] for a in range(len(pts) - 1))
+    return np.sqrt(np.concatenate([np.square(d, out=d).sum(axis=1) for d in diffs]))
 
 
-def pairwise_distance_ratio(
-    points: np.ndarray, project: Projection, original: np.ndarray | None = None
-) -> DistortionReport:
-    """Distance distortion ||f(x_i) - f(x_j)|| / ||x_i - x_j|| over point pairs.
+def pairwise_distance_ratio(points: np.ndarray, maps: Iterable[Projection]) -> DistortionReport:
+    """Distance distortion ||f(x_i) - f(x_j)|| / ||x_i - x_j|| of each map of ``maps``.
 
-    Averages over unordered pairs i < j, which equals the average over
-    ordered pairs since the ratio is symmetric.  Exact duplicate points give
-    an undefined ratio; such pairs are skipped and counted.  ``project`` must
-    accept a batch of row vectors.  ``original`` optionally holds
-    ``pair_distances(points)``, computed once for many maps.
+    The ratios run over unordered pairs i < j, which gives the same mean as
+    ordered pairs since the ratio is symmetric; each map's mean and standard
+    deviation come from its own ratio vector.  The points' distances are
+    computed once and the maps applied one at a time, so a generator that
+    builds each on demand holds one map at once.  Each map must accept a
+    batch of row vectors.  Exact duplicate points give an undefined ratio;
+    such pairs are skipped and counted over all maps.  An empty ``maps`` is
+    an error.
     """
     pts = _as_points(points)
-    n_pairs = pts.shape[0] * (pts.shape[0] - 1) // 2
-    if original is None:
-        original = pair_distances(pts)
-    else:
-        original = _as_real(original)
-        if original.shape != (n_pairs,):
-            raise ValueError(
-                f"original has shape {original.shape}, "
-                f"{pts.shape[0]} points need {n_pairs} pair distances"
-            )
-        if not (original.min() >= 0.0 and original.max() < math.inf):  # NaN fails too
-            raise ValueError("original pair distances must be finite and non-negative")
-    projected = pair_distances(_project(project, pts))
+    original = _pair_distances(pts)
     keep = original != 0.0
-    ratios = projected[keep] / original[keep]
-    if ratios.size == 0:
+    if not keep.any():
         raise ValueError("all point pairs are exact duplicates")
-    std = float(ratios.std(ddof=1)) if ratios.size > 1 else 0.0
-    return DistortionReport(float(ratios.mean()), std, ratios, n_pairs - ratios.size)
+    kept = original[keep]
+    ratios, avg, std = [], [], []
+    # map() drops each map before the next is drawn, unlike a loop variable.
+    for proj in map(lambda f: _project(f, pts), maps):
+        r = _pair_distances(proj)[keep] / kept
+        ratios.append(r)
+        avg.append(float(r.mean()))
+        std.append(float(r.std(ddof=1)) if r.size > 1 else 0.0)
+    if not ratios:
+        raise ValueError("pairwise distance ratio needs at least one map")
+    skipped = (original.size - kept.size) * len(ratios)
+    return DistortionReport(np.array(avg), np.array(std), np.array(ratios), skipped)
 
 
 def _pair_cosines(rows: np.ndarray, iu: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -351,15 +338,14 @@ def cosine_similarity_rmse(points: np.ndarray, maps: Iterable[Projection]) -> Co
     """RMSE between projected and original pairwise cosine similarities.
 
     Each map of ``maps``, in order, gives the root-mean-square error over
-    all point pairs; reported is the mean across maps with its standard
-    error.  The maps are applied one at a time, so a generator that builds
-    each on demand holds one map at once.  A zero-norm input point, an empty
+    all point pairs, in ``per_rep``.  The points' cosines are computed once
+    and the maps applied one at a time, so a generator that builds each on
+    demand holds one map at once.  A zero-norm input point, an empty
     ``maps`` and a map image with NaN or inf entries are errors.  A pair
     with a point the map sends to zero has no projected cosine; such pairs
     are skipped and counted over all maps.  A map that leaves no pair (a
     sparse map can be the zero map) has no RMSE: its ``per_rep`` entry is
-    NaN, and the mean and standard error are taken over the other maps (NaN
-    if there are none).
+    NaN.
     """
     pts = _as_points(points)
     iu = np.triu_indices(pts.shape[0], k=1)
@@ -376,7 +362,5 @@ def cosine_similarity_rmse(points: np.ndarray, maps: Iterable[Projection]) -> Co
         rmse.append(math.sqrt(float(np.mean(err**2))) if err.size else math.nan)
     if not rmse:
         raise ValueError("cosine similarity RMSE needs at least one map")
-    per_rep = np.array(rmse)
-    mean, se, _ = _mean_se(per_rep)
-    return CosineRmse(mean, se, per_rep, skipped)
+    return CosineRmse(np.array(rmse), skipped)
 

@@ -246,7 +246,7 @@ def _cosine_table(points, dims, k, seed):
     for i, kind in enumerate(("rp", "trp", "trp_t")):
         layout = (points.shape[1],) if kind == "rp" else dims
         maps = (build_map(kind, layout, k, GAUSS, 5, seed.child(i).child(r)) for r in range(100))
-        means[kind] = cosine_similarity_rmse(points, maps).mean_rmse
+        means[kind] = float(cosine_similarity_rmse(points, maps).per_rep.mean())
     return means
 
 

@@ -16,7 +16,8 @@ def test_removed_public_names_stay_removed():
     # EntryDistribution.very_sparse check.  isometry_stats (and its
     # IsometryStats) only reduced squared_norm_samples' vector, and
     # polarization_check is a test oracle.  QrFactor, multi_mode_product and
-    # per_factor had no caller outside the package.
+    # per_factor had no caller outside the package.  pair_distances is
+    # computed inside pairwise_distance_ratio, once for all its maps.
     removed = (
         "make_factory",
         "empirical_isometry",
@@ -29,6 +30,7 @@ def test_removed_public_names_stay_removed():
         "QrFactor",
         "multi_mode_product",
         "per_factor",
+        "pair_distances",
     )
     for name in removed:
         assert name not in tensorproj.__all__

@@ -77,6 +77,7 @@ def make_config(**overrides):
         (dict(experiment="sketch", dims=(10**5 + 1, 10**5 - 1), order=3), r"is not s\^2"),
         (dict(experiment="sketch", dims=(6, 6), order=3, k_sweep=(7,)), "matrix side s=6"),
         (dict(experiment="sketch", dims=(4, 4), order=3), "matrix side 4 too small"),
+        (dict(map_kinds=("rp", "trp", "rp")), r"map kinds must be distinct, got \('rp', 'trp'"),
     ],
 )
 def test_config_rejections(overrides, match):

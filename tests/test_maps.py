@@ -27,9 +27,9 @@ from tensorproj.sketch import (
     relative_error,
 )
 from tensorproj.stats import (
+    _pair_distances,
     cosine_similarity_rmse,
     exact_variance,
-    pair_distances,
     pairwise_distance_ratio,
     squared_norm_samples,
     theoretical_variance,
@@ -212,11 +212,8 @@ COMPLEX_CALLS = {
     "squared_norm_samples": lambda: squared_norm_samples((3, 4), 2, GAUSS, _XC, 3, SeedSpec(0)),
     "theoretical_variance": lambda: theoretical_variance(_XC, 3.0, 2),
     "exact_variance": lambda: exact_variance(_XC, (3, 4), 3.0, 2),
-    "pair_distances": lambda: pair_distances(_PC),
-    "pairwise_distance_ratio": lambda: pairwise_distance_ratio(_PC, lambda x: x),
-    "pairwise_distance_ratio-original": lambda: pairwise_distance_ratio(
-        _PC.real, lambda x: x, np.ones(15, dtype=complex)
-    ),
+    "pair_distances": lambda: _pair_distances(_PC),
+    "pairwise_distance_ratio": lambda: pairwise_distance_ratio(_PC, [lambda x: x]),
     "cosine_similarity_rmse": lambda: cosine_similarity_rmse(_PC, [lambda x: x]),
     "cosine_similarity_rmse-map-output": lambda: cosine_similarity_rmse(
         _PC.real, [lambda x: x * 1j]
@@ -243,6 +240,22 @@ def test_complex_input_is_rejected_by_every_entry_point(call):
     # numpy's own conversion would only warn and drop the imaginary part.
     with pytest.raises(ValueError, match="complex"):
         call()
+
+
+BAD_FACTORS = {
+    # Each used to build: the first map returned complex output, the second
+    # NaN, and the third raised a bare IndexError.
+    "complex": (np.ones((2, 2)) * 1j, "complex"),
+    "nan": (np.array([[1.0, math.nan], [0.0, 1.0]]), "NaN or infinite"),
+    "one-dimensional": (np.ones(2), r"\(d_i, k\) matrix, got shape \(2,\)"),
+}
+
+
+@pytest.mark.parametrize("factor,match", BAD_FACTORS.values(), ids=BAD_FACTORS.keys())
+@pytest.mark.parametrize("cls", [TensorRandomProjection, ConventionalRp], ids=["trp", "rp"])
+def test_hand_built_map_rejects_a_bad_factor(cls, factor, match):
+    with pytest.raises(ValueError, match=match):
+        cls((factor,), (GAUSS,))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from itertools import product
 
 import hypothesis.strategies as st
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from oracles import per_map_sq_norms, polarization_check
 from tensorproj import stats
+from tensorproj.cli import _mean_se
 from tensorproj.distributions import (
     EntryDistribution,
     SeedSpec,
@@ -22,11 +24,10 @@ from tensorproj.maps import build_ensemble, build_map, build_trp
 from tensorproj.stats import (
     _BLOCK_SCRATCH,
     _contract_all,
+    _pair_distances,
     _trial_scratch,
-    _mean_se,
     cosine_similarity_rmse,
     exact_variance,
-    pair_distances,
     pairwise_distance_ratio,
     squared_norm_samples,
     theoretical_variance,
@@ -477,7 +478,7 @@ def test_per_map_loop_agrees_with_theory():
 
 @pytest.mark.parametrize(
     "estimate",
-    [lambda p, f: pairwise_distance_ratio(p, f), lambda p, f: cosine_similarity_rmse(p, [f])],
+    [lambda p, f: pairwise_distance_ratio(p, [f]), lambda p, f: cosine_similarity_rmse(p, [f])],
     ids=["distance", "cosine"],
 )
 def test_estimators_reject_a_map_that_changes_the_point_count(estimate):
@@ -502,39 +503,41 @@ def test_cosine_rmse_rejects_a_map_with_non_finite_output(bad):
 
 def test_distance_ratio_identity_map_is_exactly_one():
     pts = np.random.default_rng(6).standard_normal((7, 5))
-    report = pairwise_distance_ratio(pts, lambda p: p)
-    assert report.avg_ratio == 1.0
-    assert report.std_ratio == 0.0
+    report = pairwise_distance_ratio(pts, [lambda p: p])
+    assert report.avg_ratio.tolist() == [1.0]
+    assert report.std_ratio.tolist() == [0.0]
     assert report.skipped_pairs == 0
-    assert report.ratios.shape == (21,)
+    assert report.ratios.shape == (1, 21)
 
 
 def test_distance_ratio_orthonormal_map_near_one():
     rng = np.random.default_rng(7)
     q = qr_factor(rng.standard_normal((6, 6))).q
     pts = rng.standard_normal((5, 6))
-    report = pairwise_distance_ratio(pts, lambda p: p @ q)
+    report = pairwise_distance_ratio(pts, [lambda p: p @ q])
     assert_allclose(report.ratios, 1.0, atol=1e-12)
 
 
 def test_distance_ratio_skips_duplicates():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]])
-    report = pairwise_distance_ratio(pts, lambda p: p)
+    report = pairwise_distance_ratio(pts, [lambda p: p])
     assert report.skipped_pairs == 1
-    assert report.ratios.shape == (2,)
+    assert report.ratios.shape == (1, 2)
 
 
 def test_distance_ratio_all_duplicates_rejected():
     pts = np.ones((3, 2))
     with pytest.raises(ValueError, match="duplicates"):
-        pairwise_distance_ratio(pts, lambda p: p)
+        pairwise_distance_ratio(pts, [lambda p: p])
 
 
 def test_distance_ratio_shape_validation():
     with pytest.raises(ValueError, match="2-D"):
-        pairwise_distance_ratio(np.ones(4), lambda p: p)
+        pairwise_distance_ratio(np.ones(4), [lambda p: p])
     with pytest.raises(ValueError, match="two point rows"):
-        pairwise_distance_ratio(np.ones((1, 4)), lambda p: p)
+        pairwise_distance_ratio(np.ones((1, 4)), [lambda p: p])
+    with pytest.raises(ValueError, match="at least one map"):
+        pairwise_distance_ratio(np.eye(3), iter([]))
 
 
 def test_pair_distances_match_a_per_pair_loop():
@@ -542,17 +545,17 @@ def test_pair_distances_match_a_per_pair_loop():
     want = [
         np.linalg.norm(pts[i] - pts[j]) for i in range(9) for j in range(i + 1, 9)
     ]
-    assert_allclose(pair_distances(pts), want, rtol=1e-12, atol=0.0)
+    assert_allclose(_pair_distances(pts), want, rtol=1e-12, atol=0.0)
     i, j = np.triu_indices(9, k=1)
-    assert_allclose(pair_distances(pts), np.linalg.norm(pts[i] - pts[j], axis=1),
+    assert_allclose(_pair_distances(pts), np.linalg.norm(pts[i] - pts[j], axis=1),
                     rtol=1e-12, atol=0.0)
 
 
 def test_pair_distances_validation():
     with pytest.raises(ValueError, match="2-D"):
-        pair_distances(np.ones(4))
+        _pair_distances(np.ones(4))
     with pytest.raises(ValueError, match="two point rows"):
-        pair_distances(np.ones((1, 4)))
+        _pair_distances(np.ones((1, 4)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
@@ -560,72 +563,81 @@ def test_non_finite_points_are_rejected(bad):
     pts = np.random.default_rng(11).standard_normal((4, 6))
     pts[2, 1] = bad
     for estimate in (
-        lambda: pair_distances(pts),
-        lambda: pairwise_distance_ratio(pts, lambda p: p),
+        lambda: _pair_distances(pts),
+        lambda: pairwise_distance_ratio(pts, [lambda p: p]),
         lambda: cosine_similarity_rmse(pts, [lambda p: p] * 2),
     ):
         with pytest.raises(ValueError, match="NaN or infinite"):
             estimate()
 
 
-def test_distance_ratio_with_precomputed_original_is_identical():
+def test_distance_ratio_rows_match_a_per_map_norm_oracle():
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((8, 6))
-    q = rng.standard_normal((6, 3))
-    fresh = pairwise_distance_ratio(pts, lambda p: p @ q)
-    reused = pairwise_distance_ratio(pts, lambda p: p @ q, pair_distances(pts))
-    assert reused.avg_ratio == fresh.avg_ratio
-    assert reused.std_ratio == fresh.std_ratio
-    assert reused.skipped_pairs == fresh.skipped_pairs
-    assert np.array_equal(reused.ratios, fresh.ratios)
+    qs = [rng.standard_normal((6, 3)) for _ in range(4)]
+    report = pairwise_distance_ratio(pts, (lambda p, q=q: p @ q for q in qs))
+    i, j = np.triu_indices(8, k=1)
+    assert report.ratios.shape == (4, 28)
+    for row, avg, std, q in zip(report.ratios, report.avg_ratio, report.std_ratio, qs):
+        want = np.linalg.norm((pts[i] - pts[j]) @ q, axis=1) / np.linalg.norm(
+            pts[i] - pts[j], axis=1
+        )
+        assert_allclose(row, want, rtol=1e-12, atol=0.0)
+        assert avg == float(row.mean())
+        assert std == float(row.std(ddof=1))
+    assert report.skipped_pairs == 0
 
 
-def test_distance_ratio_rejects_original_of_wrong_length():
-    pts = np.random.default_rng(12).standard_normal((5, 3))
-    with pytest.raises(ValueError, match="5 points need 10 pair distances"):
-        pairwise_distance_ratio(pts, lambda p: p, np.ones(9))
-    with pytest.raises(ValueError, match="need 10 pair distances"):
-        pairwise_distance_ratio(pts, lambda p: p, np.ones((2, 5)))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-def test_distance_ratio_rejects_original_values_that_are_no_distances(bad):
-    # NaN used to give avg_ratio = nan with no pair skipped, and a negative
-    # distance a silently wrong ratio.
-    pts = np.random.default_rng(12).standard_normal((5, 3))
-    original = pair_distances(pts)
-    original[3] = bad
-    with pytest.raises(ValueError, match="finite and non-negative"):
-        pairwise_distance_ratio(pts, lambda p: p, original)
-
-
-def test_distance_ratio_counts_duplicates_with_precomputed_original():
+def test_distance_ratio_counts_duplicates_once_per_map():
     pts = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
-    report = pairwise_distance_ratio(pts, lambda p: 2.0 * p, pair_distances(pts))
-    assert report.skipped_pairs == 2
-    assert report.ratios.shape == (4,)
-    assert report.avg_ratio == 2.0
+    report = pairwise_distance_ratio(pts, [lambda p: 2.0 * p, lambda p: 3.0 * p])
+    assert report.skipped_pairs == 2 * 2
+    assert report.ratios.shape == (2, 4)
+    assert report.avg_ratio.tolist() == [2.0, 3.0]
+
+
+def test_distance_ratio_holds_one_map_of_a_generator_at_a_time():
+    alive, peak = set(), []
+
+    class Map:
+        def __call__(self, p):
+            return 2.0 * p
+
+    def maps():
+        for i in range(5):
+            f = Map()
+            alive.add(i)
+            weakref.finalize(f, alive.discard, i)
+            peak.append(len(alive))
+            yield f
+            del f
+
+    pts = np.random.default_rng(14).standard_normal((4, 3))
+    report = pairwise_distance_ratio(pts, maps())
+    assert report.avg_ratio.shape == (5,)
+    assert max(peak) == 1
 
 
 def test_distance_ratio_scales_linearly():
     pts = np.random.default_rng(8).standard_normal((6, 4))
-    base = pairwise_distance_ratio(pts, lambda p: p)
-    scaled = pairwise_distance_ratio(pts, lambda p: 3.0 * p)
+    base = pairwise_distance_ratio(pts, [lambda p: p])
+    scaled = pairwise_distance_ratio(pts, [lambda p: 3.0 * p])
     assert scaled.avg_ratio == pytest.approx(3.0 * base.avg_ratio, rel=1e-12)
 
 
 def test_cosine_rmse_identity_factory_is_zero():
     pts = np.random.default_rng(9).standard_normal((6, 4))
     report = cosine_similarity_rmse(pts, [lambda p: p] * 3)
-    assert report.mean_rmse == 0.0
-    assert report.std_error == 0.0
+    mean, se, _ = _mean_se(report.per_rep)
+    assert mean == 0.0
+    assert se == 0.0
     assert np.array_equal(report.per_rep, np.zeros(3))
 
 
 def test_cosine_rmse_is_scale_invariant():
     pts = np.random.default_rng(10).standard_normal((5, 4))
     report = cosine_similarity_rmse(pts, [lambda p: 2.0 * p] * 2)
-    assert report.mean_rmse == pytest.approx(0.0, abs=1e-12)
+    assert _mean_se(report.per_rep)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cosine_rmse_standard_error():
@@ -633,10 +645,9 @@ def test_cosine_rmse_standard_error():
     maps = (build_map("trp", (3, 3), 4, GAUSS, 1, SeedSpec(30).child(i)) for i in range(4))
     report = cosine_similarity_rmse(pts, maps)
     assert report.per_rep.shape == (4,)
-    assert report.std_error == pytest.approx(
-        float(report.per_rep.std(ddof=1)) / 2.0, rel=1e-12
-    )
-    assert report.mean_rmse == pytest.approx(float(report.per_rep.mean()), rel=1e-12)
+    mean, se, _ = _mean_se(report.per_rep)
+    assert se == pytest.approx(float(report.per_rep.std(ddof=1)) / 2.0, rel=1e-12)
+    assert mean == pytest.approx(float(report.per_rep.mean()), rel=1e-12)
 
 
 def test_cosine_rmse_skips_pairs_a_map_sends_to_zero():
@@ -653,14 +664,16 @@ def test_cosine_rmse_skips_pairs_a_map_sends_to_zero():
     report = cosine_similarity_rmse(pts, first_off)
     assert np.isnan(report.per_rep[0])
     assert np.isfinite(report.per_rep[1:]).all()
-    assert report.mean_rmse == pytest.approx(float(report.per_rep[1:].mean()), rel=1e-12)
-    assert report.std_error == pytest.approx(
+    mean, se, _ = _mean_se(report.per_rep)
+    assert mean == pytest.approx(float(report.per_rep[1:].mean()), rel=1e-12)
+    assert se == pytest.approx(
         float(report.per_rep[1:].std(ddof=1)) / math.sqrt(2), rel=1e-12
     )
     assert report.skipped_pairs == 6
     report = cosine_similarity_rmse(pts, [lambda p: 0.0 * p] * 2)
     assert np.isnan(report.per_rep).all()
-    assert np.isnan(report.mean_rmse) and np.isnan(report.std_error)
+    mean, se, _ = _mean_se(report.per_rep)
+    assert np.isnan(mean) and np.isnan(se)
     assert report.skipped_pairs == 12
     assert cosine_similarity_rmse(pts, [lambda p: p] * 2).skipped_pairs == 0
 
