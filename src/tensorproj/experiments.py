@@ -18,11 +18,11 @@ build as a tuple and is copied with ``record._replace(...)``.  A kind's
 factor dims, replicate count T and entry distribution are decided in one
 place, :func:`_layout`.  A run's data is one array, loaded once: the
 points, the sketch target, or e_1 for variance.  A variance cell draws its
-samples in blocks; every other cell scores one stream of maps built one at
-a time by :func:`tensorproj.maps.build_map`, and its estimator returns one
-value per map.  Runs are deterministic functions of the config: the base
-seed fans out per data source, map kind, k and replication, so the written
-CSV is byte-identical across repeated runs.
+samples in blocks; every other run scores one stream of maps built one at
+a time by :func:`tensorproj.maps.build_map`, with one estimator call (or
+one sketch per map) that returns one value per map.  Runs are deterministic
+functions of the config: the base seed fans out per data source, map kind,
+k and replication, so the written CSV is byte-identical across runs.
 
 CSV format: header ``experiment,map,dist,d,dims,k,T,rep,metric,value,stderr``,
 dims rendered as ``d1xd2x...``, floats with 17 significant digits (lossless
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -46,12 +46,7 @@ from .data import gen_synthetic, load_mnist
 from .distributions import EntryDistribution, SeedSpec, very_sparse_family
 from .linalg import _check_sizes
 from .maps import MAP_KINDS, build_map
-from .sketch import (
-    averaged_low_rank_approx,
-    low_rank_approx,
-    relative_error,
-    tucker_synthetic,
-)
+from .sketch import averaged_low_rank_approx, low_rank_approx, relative_error, tucker_synthetic
 from .stats import cosine_similarity_rmse, pairwise_distance_ratio, squared_norm_samples
 
 EXPERIMENTS = ("distance", "cosine", "variance", "sketch")
@@ -198,56 +193,56 @@ def _load_data(cfg: ExperimentConfig, seed: SeedSpec) -> np.ndarray:
         side = _sketch_side(cfg)
         return tucker_synthetic(side, cfg.order, SKETCH_CORE_RANK, seed).reshape(side, cfg.d)
     if cfg.mnist_path is None:
-        points = gen_synthetic(cfg.d, cfg.n_points, seed)
-    else:
-        points = load_mnist(cfg.mnist_path, cfg.n_points)
-    return points
+        return gen_synthetic(cfg.d, cfg.n_points, seed)
+    return load_mnist(cfg.mnist_path, cfg.n_points)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    """Run all (map kind, k, replication) cells and return their records."""
+    """Run all (map kind, k, replication) draws as one stream; return their records.
+
+    The draws run in ``map_kinds``, then ``k_sweep``, then rep order.  Draw
+    rep of a (kind, k) cell is built from the cell seed's child stream rep,
+    and a single-map sketch from child 0 of that stream.
+    """
     _validate(cfg)
     base = SeedSpec(cfg.base_seed)
     data = _load_data(cfg, base.child(0))
-    records: list[ExperimentRecord] = []
-    for kind_idx, kind in enumerate(cfg.map_kinds):
-        kind_seed = base.child(1).child(kind_idx)
-        for k_idx, k in enumerate(cfg.k_sweep):
-            records.extend(_run_cell(cfg, kind, k, kind_seed.child(k_idx), data))
-    return records
-
-
-def _run_cell(
-    cfg: ExperimentConfig, kind: str, k: int, cell_seed: SeedSpec, data: np.ndarray
-) -> list[ExperimentRecord]:
-    """The records of one (map kind, k) cell, one per rep in rep order."""
-    reps = cfg.replications
-    dims, T, dist = _layout(cfg, kind)
-    # Map rep of a cell is drawn from the cell seed's child stream rep; a
-    # single-map sketch draws from child 0 of that stream.
-    seeds = (cell_seed.child(rep) for rep in range(reps))
-    if cfg.experiment == "sketch" and kind != "trp_t":
-        seeds = (seed.child(0) for seed in seeds)
-    # map() drops each map before the next is built; a loop variable would
-    # hold two maps at once.  A variance cell draws its own maps in blocks.
-    maps = map(lambda seed: build_map(kind, dims, k, dist, T, seed), seeds)
-    spreads = [None] * reps
+    reps = range(cfg.replications)
+    layouts = {kind: _layout(cfg, kind) for kind in cfg.map_kinds}
+    cells = [(kind, k, layouts[kind], base.child(1).child(i).child(j))  # (dims, T, dist)
+             for i, kind in enumerate(cfg.map_kinds) for j, k in enumerate(cfg.k_sweep)]
+    # The generator holds no map, and its consumers below drop each map
+    # before the next is built.  Variance cells draw their own maps.
+    sketch_run = cfg.experiment == "sketch"
+    maps = (
+        build_map(kind, dims, k, dist, T,
+                  seed.child(rep).child(0) if sketch_run and kind != "trp_t" else seed.child(rep))
+        for kind, k, (dims, T, dist), seed in cells for rep in reps
+    )
+    spreads = repeat(None)
     if cfg.experiment == "variance":
         metric = "sq_norm_ratio"
-        values = squared_norm_samples(dims, k, dist, data, reps, cell_seed, T=T).tolist()
+        values = np.concatenate([
+            squared_norm_samples(dims, k, dist, data, cfg.replications, seed, T=T)
+            for _, k, (dims, T, dist), seed in cells
+        ]).tolist()
     elif cfg.experiment == "distance":
         report = pairwise_distance_ratio(data, maps)
-        metric, values, spreads = "avg_ratio", report.avg_ratio, report.std_ratio.tolist()
+        metric, values, spreads = "avg_ratio", report.avg_ratio.tolist(), report.std_ratio.tolist()
     elif cfg.experiment == "cosine":
         metric, values = "rmse", cosine_similarity_rmse(data, maps).per_rep.tolist()
     else:
-        sketch = averaged_low_rank_approx if kind == "trp_t" else low_rank_approx
         metric = "relative_error"
-        values = list(map(lambda omega: relative_error(data, sketch(data, omega)), maps))
-    cell = (cfg.experiment, kind, cfg.dist_kind, cfg.d, cfg.dims, k, T)
+        sketches = (averaged_low_rank_approx if kind == "trp_t" else low_rank_approx
+                    for kind, *_ in cells for _ in reps)
+        values = list(map(lambda sketch, omega: relative_error(data, sketch(data, omega)),
+                          sketches, maps))
+    # values and spreads hold one entry per draw, in draw order.
+    values, spreads, dims = iter(values), iter(spreads), tuple(cfg.dims)
     return [
-        ExperimentRecord(*cell, rep, metric, float(v), se)
-        for rep, (v, se) in enumerate(zip(values, spreads))
+        ExperimentRecord(cfg.experiment, kind, cfg.dist_kind, cfg.d, dims, k, T, rep,
+                         metric, next(values), next(spreads))
+        for kind, k, (_, T, _), _ in cells for rep in reps
     ]
 
 

@@ -79,7 +79,7 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     # object, which relative_error recognises as an approximation's source.
     x = _as_real(x, np.asanyarray)
     if x.ndim != 2:
-        raise ValueError("low_rank_approx expects a matrix")
+        raise ValueError(f"X must be a matrix, got shape {x.shape}")
     return x
 
 
@@ -125,7 +125,12 @@ def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> LowRank:
     across replicates are independent.
     """
     x = _as_matrix(x)
-    q = np.hstack([_range_basis(x, omega) for omega in ensemble.replicates])
+    # A loop, not a comprehension, whose own frame (Python < 3.12) would
+    # stand in for the caller in a RankDeficiencyWarning.
+    bases = []
+    for omega in ensemble.replicates:
+        bases.append(_range_basis(x, omega))
+    q = np.hstack(bases)
     qtx = q.T @ x
     return _built(q, qtx / ensemble.T, x, qtx)
 

@@ -287,8 +287,8 @@ def _pair_distances(points: np.ndarray) -> np.ndarray:
 
     Computed one row at a time, so memory stays at one ``(n, d)`` difference
     block.  The arithmetic is ``np.linalg.norm(diff, axis=1)``'s, bit for bit,
-    without its copies: the estimators call this once per map and once per
-    stream of maps.
+    without its copies: a distance run calls this once for the points and
+    once per map.
     """
     pts = _as_points(points)
     diffs = (pts[a + 1 :] - pts[a] for a in range(len(pts) - 1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from tensorproj import experiments
+from tensorproj import experiments, stats
 from tensorproj.cli import build_config
 from tensorproj.distributions import EntryDistribution, SeedSpec
 from tensorproj.experiments import (
@@ -109,9 +109,12 @@ def test_config_sizes_follow_the_package_size_rule(overrides, match):
         run_experiment(make_config(**overrides))
 
 
-def test_config_sizes_may_be_lists():
+def test_config_sizes_may_be_lists(tmp_path):
     as_lists = run_experiment(make_config(dims=[4, 3], k_sweep=[2, 4]))
-    assert [r.value for r in as_lists] == [r.value for r in run_experiment(make_config())]
+    assert as_lists == run_experiment(make_config())
+    path = str(tmp_path / "lists.csv")
+    write_csv(as_lists, path)
+    assert read_csv(path) == as_lists
 
 
 def test_config_error_is_a_value_error():
@@ -244,7 +247,7 @@ def test_cosine_values_are_per_replication_rmses():
 
 
 @pytest.mark.parametrize("experiment", ["distance", "cosine", "sketch"])
-def test_a_cell_holds_one_built_map_at_a_time(experiment, monkeypatch):
+def test_a_run_holds_one_built_map_at_a_time(experiment, monkeypatch):
     live = peak = 0
     build = experiments.build_map
 
@@ -267,6 +270,34 @@ def test_a_cell_holds_one_built_map_at_a_time(experiment, monkeypatch):
     assert len(run_experiment(cfg)) == 3 * 2 * 3
     assert peak == 1
     assert live == 0
+
+
+@pytest.mark.parametrize(
+    "experiment,estimator,pair_helper",
+    [("distance", "pairwise_distance_ratio", "_pair_distances"),
+     ("cosine", "cosine_similarity_rmse", "_pair_cosines")],
+)
+def test_a_run_calls_its_estimator_once(experiment, estimator, pair_helper, monkeypatch):
+    # The points' own distances or cosines are computed once per run, not
+    # once per (map kind, k) cell; each map then needs its own.
+    calls = {estimator: 0, pair_helper: 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(experiments, estimator)
+    counting(stats, pair_helper)
+    cfg = make_config(experiment=experiment, map_kinds=("rp", "trp", "trp_t"),
+                      k_sweep=(2, 3), replications=3)
+    maps = 3 * 2 * 3
+    assert len(run_experiment(cfg)) == maps
+    assert calls == {estimator: 1, pair_helper: 1 + maps}
 
 
 # ----------------------------------------------------------------------- csv

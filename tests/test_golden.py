@@ -58,6 +58,19 @@ GOLDEN = {
          "--k", "3,6", "--reps", "2", "--T", "3", "--seed", "8"],
         "6964c0f684e05b0831788f09e6700efc676a8c78ab165f6742893fe0b5051811",
     ),
+    # Map kinds and k values out of sorted order: each draw is seeded by the
+    # position of its kind and k on the command line, while the rows are
+    # written sorted, so a runner that seeds by sorted position fails here.
+    "distance-gaussian-unsorted": (
+        ["--experiment", "distance", "--d", "24", "--dims", "2x3x4", "--map", "trp_t,rp",
+         "--k", "6,3", "--n", "6", "--reps", "2", "--T", "2", "--seed", "10"],
+        "d93d5cea551c42b68771a4096daf37100d097823d6994d52a6c9541a9f92c8a3",
+    ),
+    "sketch-gaussian-unsorted": (
+        ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4", "--map", "trp_t,rp,trp",
+         "--k", "6,3", "--reps", "2", "--T", "2", "--seed", "11"],
+        "8e051c134ef1d780d42dbc7f06d2a929b1c2f656e85c4da1db1f3578650894ae",
+    ),
 }
 
 # RankDeficiencyWarnings a config raises, repeats included (12 raised, 6

@@ -63,9 +63,24 @@ def test_rank_deficient_sketch_warns_and_proceeds():
     assert relative_error(x, approx) <= 1e-8
 
 
+@pytest.mark.parametrize("builder", [low_rank_approx, averaged_low_rank_approx])
+def test_sketch_builders_warn_at_the_caller_and_name_the_shape(builder):
+    # Both builders point a RankDeficiencyWarning at the line that called
+    # them, and refuse a non-matrix X by its shape, naming neither builder.
+    rng = np.random.default_rng(6)
+    x = np.outer(rng.standard_normal(15), rng.standard_normal(8))
+    ensemble = build_ensemble((4, 2), 4, GAUSS, 2, SeedSpec(7))
+    omega = ensemble if builder is averaged_low_rank_approx else ensemble.replicates[0]
+    with pytest.warns(RankDeficiencyWarning, match="effective rank 1") as caught:
+        builder(x, omega)
+    assert [w.filename for w in caught] == [__file__] * len(caught)
+    with pytest.raises(ValueError, match=r"^X must be a matrix, got shape \(8,\)$"):
+        builder(np.ones(8), omega)
+
+
 def test_low_rank_approx_validation():
     omega = build_trp((2, 2), 2, GAUSS, SeedSpec(0))
-    with pytest.raises(ValueError, match="expects a matrix"):
+    with pytest.raises(ValueError, match=r"X must be a matrix, got shape \(4,\)"):
         low_rank_approx(np.ones(4), omega)
     with pytest.raises(ValueError, match="one row per point"):
         low_rank_approx(np.ones((5, 4)), lambda p: p[:3])
@@ -144,7 +159,7 @@ def test_averaged_rank_is_bounded_by_t_times_k():
 
 def test_averaged_low_rank_validation():
     ensemble = build_ensemble((3, 2), 2, GAUSS, 2, SeedSpec(0))
-    with pytest.raises(ValueError, match="expects a matrix"):
+    with pytest.raises(ValueError, match=r"X must be a matrix, got shape \(6,\)"):
         averaged_low_rank_approx(np.ones(6), ensemble)
     with pytest.raises(ValueError, match="input has 7 entries, map expects 6"):
         averaged_low_rank_approx(np.ones((5, 7)), ensemble)
