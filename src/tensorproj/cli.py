@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 for configuration problems (bad flags or values),
 2 for I/O and data-format problems.  Every run with the same flags and seed
-writes a byte-identical CSV.
+writes a byte-identical CSV at a fixed BLAS build and thread count.
 """
 
 from __future__ import annotations

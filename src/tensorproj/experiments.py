@@ -17,12 +17,16 @@ replication): a named tuple of the CSV columns, so a record is as cheap to
 build as a tuple and is copied with ``record._replace(...)``.  A kind's
 factor dims, replicate count T and entry distribution are decided in one
 place, :func:`_layout`.  A run's data is one array, loaded once: the
-points, the sketch target, or e_1 for variance.  A variance cell draws its
-samples in blocks; every other run scores one stream of maps built one at
-a time by :func:`tensorproj.maps.build_map`, with one estimator call (or
-one sketch per map) that returns one value per map.  Runs are deterministic
-functions of the config: the base seed fans out per data source, map kind,
-k and replication, so the written CSV is byte-identical across runs.
+points, the sketch target, or for variance e_1 on its one-entry support.
+||f(e_1)||^2 reads only row 1 of each factor, so a variance cell samples,
+in blocks, maps on dims ``(1, ..., 1)`` with the entry distributions of the
+full dims: the same law, without drawing the rows e_1 never reads.  Every
+other run scores one stream of maps built one at a time by
+:func:`tensorproj.maps.build_map`, with one estimator call (or one sketch
+per map) that returns one value per map.  Runs are deterministic functions
+of the config: the base seed fans out per data source, map kind, k and
+replication, so at a fixed BLAS build and thread count the written CSV is
+byte-identical across runs.
 
 CSV format: header ``experiment,map,dist,d,dims,k,T,rep,metric,value,stderr``,
 dims rendered as ``d1xd2x...``, floats with 17 significant digits (lossless
@@ -185,10 +189,11 @@ def _load_data(cfg: ExperimentConfig, seed: SeedSpec) -> np.ndarray:
     """The one array all cells of a run share, drawn from ``seed``.
 
     The points (distance, cosine), the ``s x d`` target (sketch), or the
-    input e_1 (variance, which draws nothing here).
+    input e_1 on its one-entry support, ``[1.0]`` (variance, which draws
+    nothing here).
     """
     if cfg.experiment == "variance":
-        return np.eye(1, cfg.d)[0]
+        return np.ones(1)
     if cfg.experiment == "sketch":
         side = _sketch_side(cfg)
         return tucker_synthetic(side, cfg.order, SKETCH_CORE_RANK, seed).reshape(side, cfg.d)
@@ -222,8 +227,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     spreads = repeat(None)
     if cfg.experiment == "variance":
         metric = "sq_norm_ratio"
+        # Factor rows are i.i.d. and ||f(e_1)||^2 reads only row 1 of each, so
+        # maps of e_1's support under the full dims' distributions keep the law.
         values = np.concatenate([
-            squared_norm_samples(dims, k, dist, data, cfg.replications, seed, T=T)
+            squared_norm_samples((1,) * len(dims), k, dist, data, cfg.replications, seed, T=T)
             for _, k, (dims, T, dist), seed in cells
         ]).tolist()
     elif cfg.experiment == "distance":

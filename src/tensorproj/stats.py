@@ -204,13 +204,15 @@ def _trial_scratch(dims: Sequence[int], k: int, T: int) -> int:
     """Entries one trial holds in a block, ``T k (sum(dims) + d_h + t + 1)``.
 
     For the ``m = T`` maps of one trial: the drawn ``(m, d_i, k)`` factors,
-    then the kernel's ``(m, d_h, k)`` head product (not formed at order 1),
-    the ``(m, t, k)`` tail block with ``t = d / d_h`` at order >= 3
-    (``t = 0`` below), and the ``(m, k)`` result.
+    then the kernel's ``(m, d_h, k)`` head product at order >= 2 (``d_h = 0``
+    at order 1, where the kernel forms none), the ``(m, t, k)`` tail block
+    with ``t = d / d_h`` at order >= 3 (``t = 0`` below), and the ``(m, k)``
+    result.
     """
     h = _head_mode(dims)
+    head = dims[h] if len(dims) > 1 else 0
     tail = math.prod(dims) // dims[h] if len(dims) > 2 else 0
-    return T * k * (sum(dims) + dims[h] + tail + 1)
+    return T * k * (sum(dims) + head + tail + 1)
 
 
 def _contract_all(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import os
 import weakref
 
@@ -7,7 +8,7 @@ from numpy.testing import assert_array_equal
 
 from tensorproj import experiments, stats
 from tensorproj.cli import build_config
-from tensorproj.distributions import EntryDistribution, SeedSpec
+from tensorproj.distributions import EntryDistribution, SeedSpec, _per_factor
 from tensorproj.experiments import (
     CSV_HEADER,
     SKETCH_CORE_RANK,
@@ -200,6 +201,44 @@ def test_variance_records_match_theory():
     values = np.array([r.value for r in run_experiment(cfg)])
     assert float(values.mean()) == pytest.approx(1.0, abs=0.02)
     assert float(values.var(ddof=1)) == pytest.approx(0.8, rel=0.05)
+
+
+@pytest.mark.parametrize("dist_kind", ["very_sparse", "sparse"])
+@pytest.mark.parametrize("kind", ["trp", "trp_t"])
+def test_variance_keeps_the_full_dims_law(dist_kind, kind):
+    # Variance cells draw only the factor rows e_1 reads, but with the
+    # entry rates of the full dims.  At k=5 very sparse rates 1/sqrt(3) and
+    # 1/sqrt(4) give Var ||f(e_1)||^2 = 0.49 for trp; rates taken from the
+    # drawn (1, 1) dims would be 1 and give 0.
+    cfg = make_config(experiment="variance", map_kinds=(kind,), dist_kind=dist_kind,
+                      dims=(3, 4), k_sweep=(5,), T=3, replications=40_000, base_seed=13)
+    _, T, dist = experiments._layout(cfg, kind)
+    moments = [f.fourth_moment() for f in _per_factor(dist, len(cfg.dims))]
+    want = stats.exact_variance(np.eye(1, cfg.d)[0], cfg.dims, moments, 5, T)
+    v = np.array([r.value for r in run_experiment(cfg)])
+    n, var = v.size, float(v.var(ddof=1))
+    assert abs(v.mean() - 1.0) < 4 * math.sqrt(var / n)
+    fourth = float(np.mean((v - v.mean()) ** 4))
+    assert abs(var - want) < 4 * math.sqrt((fourth - var**2) / n)
+
+
+@pytest.mark.parametrize("kind, entries", [("rp", 10 * 1 * 3 * 1), ("trp", 10 * 1 * 3 * 3),
+                                           ("trp_t", 10 * 2 * 3 * 3)])
+def test_variance_draws_only_the_rows_e1_reads(monkeypatch, kind, entries):
+    # reps * T * k entries per factor, one row each: N = 1 factor for rp,
+    # 3 for the structured kinds on 2x3x4.
+    shapes = []
+    sample = stats._sample_array
+
+    def counted(dist, shape, rng):
+        shapes.append(shape)
+        return sample(dist, shape, rng)
+
+    monkeypatch.setattr(stats, "_sample_array", counted)
+    cfg = make_config(experiment="variance", map_kinds=(kind,), dims=(2, 3, 4),
+                      k_sweep=(3,), T=2, replications=10)
+    assert len(run_experiment(cfg)) == 10
+    assert sum(math.prod(s) for s in shapes) == entries
 
 
 def test_order_3_sketch_records_equal_a_direct_library_computation():

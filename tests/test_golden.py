@@ -16,6 +16,7 @@ import pytest
 from tensorproj.cli import main
 from tensorproj.experiments import read_csv, write_csv
 from tensorproj.sketch import RankDeficiencyWarning
+from tensorproj.stats import _BLOCK_SCRATCH, _trial_scratch
 
 GOLDEN = {
     "distance-sparse-order3": (
@@ -31,14 +32,22 @@ GOLDEN = {
     "variance-sparse-order3": (
         ["--experiment", "variance", "--d", "8", "--dims", "2x2x2", "--dist", "sparse",
          "--k", "2,5", "--reps", "30", "--T", "3", "--seed", "5"],
-        "3209048f750e766796742b71faaa4a1a50d7db09f1817db9786017b9d7220027",
+        "13ecbebf1271a626de1ab53baced82c697a94bc6e68ae5a3f3e5f02035330a52",
     ),
-    # 400 reps span three sampler blocks in the k=50, T=5 cell, so this
-    # digest pins the block size; the 30-rep digest above fits in one block.
+    # Variance cells sample e_1's support, dims (1, 1, 1): a block holds 349
+    # trials at k=50, T=5, so 400 reps span two blocks and this digest pins
+    # the block size; the 30-rep digests fit in one block.
     "variance-gaussian-order3-blocks": (
         ["--experiment", "variance", "--d", "8", "--dims", "2x2x2",
          "--k", "10,50", "--reps", "400", "--T", "5", "--seed", "9"],
-        "085111e70c43694775ed5700bc78041bab5a4b801649ca206b5b65bd4231fb0c",
+        "1c4e80efb8fb1f4336b1d1ff92ea590eba90b75298725fe060b3a1a9875434d5",
+    ),
+    # Very sparse rates follow the full dims, 1/sqrt(2) per mode and
+    # 1/sqrt(8) for rp, though the sampler draws only e_1's row of each factor.
+    "variance-very-sparse-order3": (
+        ["--experiment", "variance", "--d", "8", "--dims", "2x2x2", "--dist", "very_sparse",
+         "--k", "2,5", "--reps", "30", "--T", "3", "--seed", "12"],
+        "51330d36d7464eeac6b05a8bc5c9af5a08bf6c573da524b278324900f36d5b18",
     ),
     "sketch-gaussian-order3": (
         ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4",
@@ -87,6 +96,12 @@ def test_cli_csv_matches_golden_digest(name, tmp_path):
         assert main(argv + ["--out", str(out)]) == 0
     assert [w.category for w in caught] == [RankDeficiencyWarning] * RANK_DEFICIENT.get(name, 0)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_blocks_config_spans_several_sampler_blocks():
+    argv, _ = GOLDEN["variance-gaussian-order3-blocks"]
+    assert argv[argv.index("--reps") + 1] == "400"
+    assert _BLOCK_SCRATCH // _trial_scratch((1, 1, 1), 50, 5) < 400
 
 
 def test_cli_csv_round_trips_byte_for_byte(tmp_path):
