@@ -67,6 +67,17 @@ class EntryDistribution:
         return 1.0 / self.delta
 
 
+def _unchecked(cls: type, **fields: object):
+    """A ``cls`` instance with ``fields``, without ``__post_init__``'s checks.
+
+    For the frozen dataclasses whose fields a caller has just made and
+    knows to be valid: a builder's fresh factor draws, a checked child seed.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Base seed plus a path of child indices naming one random stream."""
@@ -87,7 +98,11 @@ class SeedSpec:
             raise ValueError("path indices must be non-negative")
 
     def child(self, index: int) -> "SeedSpec":
-        return SeedSpec(self.base_seed, self.path + (index,))
+        """The stream with ``index`` appended; only ``index`` needs a check."""
+        path = self.path + (index,)
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index < 0:
+            return SeedSpec(self.base_seed, path)  # refused, with the constructor's message
+        return _unchecked(SeedSpec, base_seed=self.base_seed, path=path)
 
     def generator(self) -> np.random.Generator:
         """A fresh generator for this stream; equal specs give equal streams."""

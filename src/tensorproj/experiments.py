@@ -245,9 +245,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
         values = list(map(lambda sketch, omega: relative_error(data, sketch(data, omega)),
                           sketches, maps))
     # values and spreads hold one entry per draw, in draw order.
-    values, spreads, dims = iter(values), iter(spreads), tuple(cfg.dims)
+    values, spreads, d, dims = iter(values), iter(spreads), cfg.d, tuple(cfg.dims)
     return [
-        ExperimentRecord(cfg.experiment, kind, cfg.dist_kind, cfg.d, dims, k, T, rep,
+        ExperimentRecord(cfg.experiment, kind, cfg.dist_kind, d, dims, k, T, rep,
                          metric, next(values), next(spreads))
         for kind, k, (_, T, _), _ in cells for rep in reps
     ]

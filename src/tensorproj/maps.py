@@ -22,7 +22,8 @@ dense baseline, is the one-factor TRP with a dense ``apply``.
 
 Maps are built one at a time, by kind: :func:`build_map` returns the one
 map of a kind drawn from a seed, and a replicated run builds map i from the
-seed's child stream i.
+seed's child stream i.  The builders construct maps from their own fresh
+draws without re-checking them; the constructors check every field.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import EntryDistribution, SeedSpec, _per_factor, _sample_array
+from .distributions import EntryDistribution, SeedSpec, _per_factor, _sample_array, _unchecked
 from .linalg import _as_real, _check_finite, _check_shape, khatri_rao
 
 # Ceiling on d * k when materializing an explicit projection matrix.
@@ -85,7 +86,7 @@ class TensorRandomProjection:
             raise ValueError("a projection needs at least one factor")
         if len(self.factors) != len(self.dists):
             raise ValueError("one entry distribution per factor is required")
-        # A builder's float64 factors pass through as the same objects.
+        # Builders skip these checks: their fresh draws are finite float64.
         factors = tuple(_check_finite(_as_real(f)) for f in self.factors)
         for f in factors:
             if f.ndim != 2:
@@ -232,7 +233,7 @@ def build_trp(
         _sample_array(dists[i], (dims[i], k), seed.child(i).generator())
         for i in range(len(dims))
     )
-    return TensorRandomProjection(factors, dists)
+    return _unchecked(TensorRandomProjection, factors=factors, dists=dists)
 
 
 def build_ensemble(
@@ -256,7 +257,8 @@ def build_conventional(
     d: int, k: int, dist: EntryDistribution, seed: SeedSpec
 ) -> ConventionalRp:
     _check_shape((d,), k)
-    return ConventionalRp((_sample_array(dist, (d, k), seed.generator()),), (dist,))
+    matrix = _sample_array(dist, (d, k), seed.generator())
+    return _unchecked(ConventionalRp, factors=(matrix,), dists=(dist,))
 
 
 def build_map(

@@ -46,7 +46,10 @@ and an iterable of maps (built one at a time by kind,
 :func:`tensorproj.maps.build_map`), compute the points' own pair distances
 or cosines once, hold one map at a time and return one value per map.
 Reductions across maps, such as a mean and its standard error, are the
-caller's.
+caller's.  The distance estimator also builds the pair indices once; the
+points and each map image then go through one chunked pair-gather kernel,
+:func:`_pair_distances`, whose memory is a fixed budget of ``_PAIR_CHUNK``
+difference entries, not a block per point.
 """
 
 from __future__ import annotations
@@ -284,17 +287,32 @@ def _project(project: Projection, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_distances(points: np.ndarray) -> np.ndarray:
-    """Distances between point rows i < j, in ``np.triu_indices`` order.
+# Float64 entries (256 KB) of each row gather in one chunk of
+# :func:`_pair_distances`: one chunk for every README-size map image.
+_PAIR_CHUNK = 2**15
 
-    Computed one row at a time, so memory stays at one ``(n, d)`` difference
-    block.  The arithmetic is ``np.linalg.norm(diff, axis=1)``'s, bit for bit,
-    without its copies: a distance run calls this once for the points and
-    once per map.
+
+def _pair_distances(rows: np.ndarray, pairs: tuple | None = None) -> np.ndarray:
+    """Distances between the row pairs ``pairs``, all i < j by default.
+
+    ``pairs`` is an ``(i, j)`` pair of index arrays; the default is
+    ``np.triu_indices(len(rows), k=1)``.  Each chunk of pairs gathers
+    ``rows[j]``, subtracts the gathered ``rows[i]`` in place, squares and
+    sums along the row, so its scratch is two gathers of at most
+    ``_PAIR_CHUNK`` entries (of one pair when a row alone is wider).  Per
+    pair this is the arithmetic of ``np.linalg.norm(rows[j] - rows[i],
+    axis=1)``, bit for bit, without its copies: a distance run calls it once
+    for the points and once per map.
     """
-    pts = _as_points(points)
-    diffs = (pts[a + 1 :] - pts[a] for a in range(len(pts) - 1))
-    return np.sqrt(np.concatenate([np.square(d, out=d).sum(axis=1) for d in diffs]))
+    rows = _as_points(rows)
+    i, j = np.triu_indices(len(rows), k=1) if pairs is None else pairs
+    out = np.empty(len(i))
+    step = max(1, _PAIR_CHUNK // rows.shape[1])
+    for s in range(0, len(i), step):
+        diff = rows[j[s : s + step]]
+        diff -= rows[i[s : s + step]]
+        np.square(diff, out=diff).sum(axis=1, out=out[s : s + step])
+    return np.sqrt(out, out=out)
 
 
 def pairwise_distance_ratio(points: np.ndarray, maps: Iterable[Projection]) -> DistortionReport:
@@ -302,23 +320,26 @@ def pairwise_distance_ratio(points: np.ndarray, maps: Iterable[Projection]) -> D
 
     The ratios run over unordered pairs i < j, which gives the same mean as
     ordered pairs since the ratio is symmetric; each map's mean and standard
-    deviation come from its own ratio vector.  The points' distances are
-    computed once and the maps applied one at a time, so a generator that
-    builds each on demand holds one map at once.  Each map must accept a
-    batch of row vectors.  Exact duplicate points give an undefined ratio;
-    such pairs are skipped and counted over all maps.  An empty ``maps`` is
-    an error.
+    deviation come from its own ratio vector.  The pair indices and the
+    points' distances are computed once, and the maps applied one at a time,
+    so a generator that builds each on demand holds one map at once; each
+    map image then costs :func:`_pair_distances` over the kept pairs, in
+    chunks of a fixed entry budget.  Each map must accept a batch of row
+    vectors.  Exact duplicate points give an undefined ratio; such pairs are
+    skipped and counted over all maps.  An empty ``maps`` is an error.
     """
     pts = _as_points(points)
-    original = _pair_distances(pts)
+    i, j = np.triu_indices(len(pts), k=1)
+    original = _pair_distances(pts, (i, j))
     keep = original != 0.0
     if not keep.any():
         raise ValueError("all point pairs are exact duplicates")
-    kept = original[keep]
+    kept, pairs = original[keep], (i[keep], j[keep])
     ratios, avg, std = [], [], []
     # map() drops each map before the next is drawn, unlike a loop variable.
     for proj in map(lambda f: _project(f, pts), maps):
-        r = _pair_distances(proj)[keep] / kept
+        r = _pair_distances(proj, pairs)
+        r /= kept
         ratios.append(r)
         avg.append(float(r.mean()))
         std.append(float(r.std(ddof=1)) if r.size > 1 else 0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from oracles import per_map_sq_norms
 from tensorproj import experiments, stats
 from tensorproj.cli import build_config
 from tensorproj.distributions import EntryDistribution, SeedSpec, _per_factor
@@ -20,7 +21,7 @@ from tensorproj.experiments import (
     run_experiment,
     write_csv,
 )
-from tensorproj.maps import build_conventional, build_ensemble, build_trp
+from tensorproj.maps import build_conventional, build_ensemble, build_map, build_trp
 from tensorproj.sketch import (
     averaged_low_rank_approx,
     low_rank_approx,
@@ -220,6 +221,28 @@ def test_variance_keeps_the_full_dims_law(dist_kind, kind):
     assert abs(v.mean() - 1.0) < 4 * math.sqrt(var / n)
     fourth = float(np.mean((v - v.mean()) ** 4))
     assert abs(var - want) < 4 * math.sqrt((fourth - var**2) / n)
+
+
+@pytest.mark.parametrize("dist_kind", ["gaussian", "sparse", "very_sparse"])
+@pytest.mark.parametrize("kind", ["rp", "trp", "trp_t"])
+def test_built_maps_follow_the_exact_law(dist_kind, kind):
+    # The maps that distance, cosine and sketch runs apply, built as a run
+    # builds them, against exact_variance: for e_1 and for a dense unit x,
+    # the mean of ||f(x)||^2 within 4 SE of 1, and its variance within 4 SE
+    # of the exact value, the SE from the sample fourth moment.
+    cfg = make_config(dist_kind=dist_kind, dims=(2, 3), k_sweep=(3,), T=2)
+    dims, T, dist = experiments._layout(cfg, kind)
+    moments = [f.fourth_moment() for f in _per_factor(dist, len(dims))]
+    seed = SeedSpec(17).child(len(dims)).child(T)
+    maps = [build_map(kind, dims, 3, dist, T, seed.child(rep)) for rep in range(3000)]
+    dense = np.arange(1.0, 7.0)
+    for x in (np.eye(1, 6)[0], dense / np.linalg.norm(dense)):
+        v = per_map_sq_norms(maps, x)
+        n, var = v.size, float(v.var(ddof=1))
+        assert abs(v.mean() - 1.0) < 4 * math.sqrt(var / n)
+        fourth = float(np.mean((v - v.mean()) ** 4))
+        want = stats.exact_variance(x, dims, moments, 3, T)
+        assert abs(var - want) < 4 * math.sqrt((fourth - var**2) / n)
 
 
 @pytest.mark.parametrize("kind, entries", [("rp", 10 * 1 * 3 * 1), ("trp", 10 * 1 * 3 * 3),

@@ -9,6 +9,7 @@ another BLAS may round differently.
 """
 
 import hashlib
+import math
 import warnings
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from tensorproj.cli import main
 from tensorproj.experiments import read_csv, write_csv
 from tensorproj.sketch import RankDeficiencyWarning
-from tensorproj.stats import _BLOCK_SCRATCH, _trial_scratch
+from tensorproj.stats import _BLOCK_SCRATCH, _PAIR_CHUNK, _trial_scratch
 
 GOLDEN = {
     "distance-sparse-order3": (
@@ -75,6 +76,14 @@ GOLDEN = {
          "--k", "6,3", "--n", "6", "--reps", "2", "--T", "2", "--seed", "10"],
         "d93d5cea551c42b68771a4096daf37100d097823d6994d52a6c9541a9f92c8a3",
     ),
+    # 1770 point pairs: at d=2500 the points' distances span 137 chunks of
+    # stats._PAIR_CHUNK entries and the k=100 images' 6, so this digest pins
+    # the pair kernel across chunk boundaries.
+    "distance-sparse-chunks": (
+        ["--experiment", "distance", "--d", "2500", "--dist", "sparse",
+         "--n", "60", "--k", "5,100", "--reps", "2", "--seed", "13"],
+        "c847720317fafac70ad65128d992bcde863b6bd370720618359e884f027c86f0",
+    ),
     "sketch-gaussian-unsorted": (
         ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4", "--map", "trp_t,rp,trp",
          "--k", "6,3", "--reps", "2", "--T", "2", "--seed", "11"],
@@ -102,6 +111,15 @@ def test_blocks_config_spans_several_sampler_blocks():
     argv, _ = GOLDEN["variance-gaussian-order3-blocks"]
     assert argv[argv.index("--reps") + 1] == "400"
     assert _BLOCK_SCRATCH // _trial_scratch((1, 1, 1), 50, 5) < 400
+
+
+def test_chunks_config_spans_several_pair_chunks():
+    argv, _ = GOLDEN["distance-sparse-chunks"]
+    n, d = (int(argv[argv.index(flag) + 1]) for flag in ("--n", "--d"))
+    k = max(int(k) for k in argv[argv.index("--k") + 1].split(","))
+    pairs = n * (n - 1) // 2
+    for width, chunks in ((d, 137), (k, 6)):
+        assert math.ceil(pairs / (_PAIR_CHUNK // width)) == chunks
 
 
 def test_cli_csv_round_trips_byte_for_byte(tmp_path):

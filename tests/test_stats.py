@@ -24,6 +24,7 @@ from tensorproj.maps import build_ensemble, build_map, build_trp
 from tensorproj.stats import (
     _BLOCK_SCRATCH,
     _contract_all,
+    _PAIR_CHUNK,
     _pair_distances,
     _trial_scratch,
     cosine_similarity_rmse,
@@ -549,6 +550,23 @@ def test_pair_distances_match_a_per_pair_loop():
     i, j = np.triu_indices(9, k=1)
     assert_allclose(_pair_distances(pts), np.linalg.norm(pts[i] - pts[j], axis=1),
                     rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "n, width",
+    [(2, 1), (40, 100), (12, 1000), (9, _PAIR_CHUNK - 1), (5, _PAIR_CHUNK), (4, _PAIR_CHUNK + 1)],
+)
+def test_pair_distances_equal_the_row_block_formula_bit_for_bit(n, width):
+    # At widths 100 and 1000 chunk edges fall inside the rows' pair blocks;
+    # near _PAIR_CHUNK a chunk holds one pair, and above it only by the
+    # one-pair floor.  None may move a bit.
+    rows = np.random.default_rng(width).standard_normal((n, width))
+    want = np.concatenate(
+        [np.sqrt(np.square(rows[a + 1 :] - rows[a]).sum(axis=1)) for a in range(n - 1)]
+    )
+    assert np.array_equal(_pair_distances(rows), want)
+    i, j = np.triu_indices(n, k=1)
+    assert np.array_equal(_pair_distances(rows, (i[::2], j[::2])), want[::2])
 
 
 def test_pair_distances_validation():
