@@ -207,7 +207,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 
     The draws run in ``map_kinds``, then ``k_sweep``, then rep order.  Draw
     rep of a (kind, k) cell is built from the cell seed's child stream rep,
-    and a single-map sketch from child 0 of that stream.
+    for every experiment and map kind.
     """
     _validate(cfg)
     base = SeedSpec(cfg.base_seed)
@@ -218,12 +218,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
              for i, kind in enumerate(cfg.map_kinds) for j, k in enumerate(cfg.k_sweep)]
     # The generator holds no map, and its consumers below drop each map
     # before the next is built.  Variance cells draw their own maps.
-    sketch_run = cfg.experiment == "sketch"
-    maps = (
-        build_map(kind, dims, k, dist, T,
-                  seed.child(rep).child(0) if sketch_run and kind != "trp_t" else seed.child(rep))
-        for kind, k, (dims, T, dist), seed in cells for rep in reps
-    )
+    maps = (build_map(kind, dims, k, dist, T, seed.child(rep))
+            for kind, k, (dims, T, dist), seed in cells for rep in reps)
     spreads = repeat(None)
     if cfg.experiment == "variance":
         metric = "sq_norm_ratio"

@@ -22,8 +22,13 @@ dense baseline, is the one-factor TRP with a dense ``apply``.
 
 Maps are built one at a time, by kind: :func:`build_map` returns the one
 map of a kind drawn from a seed, and a replicated run builds map i from the
-seed's child stream i.  The builders construct maps from their own fresh
-draws without re-checking them; the constructors check every field.
+seed's child stream i.  One random object draws from one stream: a TRP draws
+its factors in mode order from its seed's generator, the layout of a
+one-trial block of :func:`tensorproj.stats.squared_norm_samples`, so a
+one-factor TRP is bitwise the dense map of the same seed.  An ensemble
+draws replicate t from the seed's child stream t.  The builders construct
+maps from their own fresh draws without re-checking them; the constructors
+check every field.
 """
 
 from __future__ import annotations
@@ -226,13 +231,11 @@ def build_trp(
     dist: EntryDistribution | Sequence[EntryDistribution],
     seed: SeedSpec,
 ) -> TensorRandomProjection:
-    """Sample a TRP; factor ``i`` draws from the seed's child stream ``i``."""
+    """Sample a TRP; its factors draw, in mode order, from the seed's one stream."""
     dims = _check_shape(dims, k)
     dists = _per_factor(dist, len(dims))
-    factors = tuple(
-        _sample_array(dists[i], (dims[i], k), seed.child(i).generator())
-        for i in range(len(dims))
-    )
+    rng = seed.generator()
+    factors = tuple(_sample_array(dists[i], (dims[i], k), rng) for i in range(len(dims)))
     return _unchecked(TensorRandomProjection, factors=factors, dists=dists)
 
 

@@ -159,9 +159,10 @@ def tucker_synthetic(
     bases of Gaussian draws, and i.i.d. Gaussian noise is added with scale
     ``sqrt(noise_fraction * ||signal||_F^2 / side**order)`` so the noise
     carries about ``noise_fraction`` of the signal energy (1% by default).
-    ``noise_fraction=0`` gives the exact low-rank signal; the core and arms
-    only consume their own child streams, so the noiseless tensor is the
-    same one the noisy draw perturbs.
+    The core, the arms in mode order and then the noise draw from the
+    seed's one stream.  ``noise_fraction=0`` gives the exact low-rank
+    signal; the noise draws last, so the noiseless tensor is the same one
+    the noisy draw perturbs.
     """
     _check_sizes(side=side, order=order)
     if not 1 <= core_rank <= side:
@@ -175,18 +176,16 @@ def tucker_synthetic(
         raise ValueError(
             f"noise fraction must be finite and non-negative, got {noise_fraction}"
         )
-    core = seed.child(0).generator().random((core_rank,) * order)
-    arms = []
-    for n in range(order):
-        g = seed.child(1 + n).generator().standard_normal((side, core_rank))
-        arms.append(qr_factor(g).q)
+    rng = seed.generator()
+    core = rng.random((core_rank,) * order)
+    arms = [qr_factor(rng.standard_normal((side, core_rank))).q for _ in range(order)]
     signal = _multi_mode_product(core, arms)
     scale = math.sqrt(
         noise_fraction * float(np.sum(signal**2)) / side**order
     )
     if scale == 0.0:
         return signal
-    noise = seed.child(1 + order).generator().standard_normal(signal.shape)
+    noise = rng.standard_normal(signal.shape)
     # In place, with no signal-sized temporaries; IEEE addition commutes, so
     # this is bitwise ``signal + scale * noise``.
     noise *= scale

@@ -251,7 +251,9 @@ def squared_norm_samples(
     ``(n T, d_i, k)`` factors, in mode order, from the seed's child stream
     b, and is contracted in one kernel call.  So runs that share j whole
     blocks share their draws, while a partial last block draws other
-    values than the same trials inside a whole block.
+    values than the same trials inside a whole block.  With T = 1, a
+    one-trial run draws the factors ``build_trp`` draws from
+    ``seed.child(0)``.
     """
     dims = _check_shape(dims, k, T)
     dists = _per_factor(dist, len(dims))
@@ -292,20 +294,18 @@ def _project(project: Projection, pts: np.ndarray) -> np.ndarray:
 _PAIR_CHUNK = 2**15
 
 
-def _pair_distances(rows: np.ndarray, pairs: tuple | None = None) -> np.ndarray:
-    """Distances between the row pairs ``pairs``, all i < j by default.
+def _pair_distances(rows: np.ndarray, pairs: tuple) -> np.ndarray:
+    """Distances between the row pairs ``pairs`` of already checked ``rows``.
 
-    ``pairs`` is an ``(i, j)`` pair of index arrays; the default is
-    ``np.triu_indices(len(rows), k=1)``.  Each chunk of pairs gathers
-    ``rows[j]``, subtracts the gathered ``rows[i]`` in place, squares and
-    sums along the row, so its scratch is two gathers of at most
-    ``_PAIR_CHUNK`` entries (of one pair when a row alone is wider).  Per
-    pair this is the arithmetic of ``np.linalg.norm(rows[j] - rows[i],
-    axis=1)``, bit for bit, without its copies: a distance run calls it once
-    for the points and once per map.
+    ``pairs`` is an ``(i, j)`` pair of index arrays.  Each chunk of pairs
+    gathers ``rows[j]``, subtracts the gathered ``rows[i]`` in place,
+    squares and sums along the row, so its scratch is two gathers of at
+    most ``_PAIR_CHUNK`` entries (of one pair when a row alone is wider).
+    Per pair this is the arithmetic of ``np.linalg.norm(rows[j] - rows[i],
+    axis=1)``, bit for bit, without its copies: a distance run calls it
+    once for the points and once per map.
     """
-    rows = _as_points(rows)
-    i, j = np.triu_indices(len(rows), k=1) if pairs is None else pairs
+    i, j = pairs
     out = np.empty(len(i))
     step = max(1, _PAIR_CHUNK // rows.shape[1])
     for s in range(0, len(i), step):

@@ -75,8 +75,11 @@ def per_map_sq_norms(
 ) -> np.ndarray:
     """||f(x)||^2 for each map f of ``maps``, one map and one apply at a time.
 
-    Built maps share only the law with the vectorized sampler, not its
-    stream, so agreement with it is statistical.
+    A one-replicate map built from ``seed.child(0)`` draws the factors of a
+    one-trial sampler run on ``seed``, so for ``rp`` and ``trp`` the two
+    agree to rounding.  A ``trp_t`` ensemble draws replicate t from its own
+    child stream t, unlike a sampler block's stacked draws, so for it the
+    agreement is statistical only.
     """
     x = np.asarray(x, dtype=float).ravel()
     return np.array([float(y @ y) for y in (f(x) for f in maps)])

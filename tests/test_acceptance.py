@@ -189,21 +189,34 @@ def test_criterion_5_replicated_map_stores_one_twentieth():
 
 
 def test_criterion_6_materialized_sparsity_fractions():
-    def z_score(mat, p):
-        frac = np.count_nonzero(mat) / mat.size
-        return (frac - p) / math.sqrt(p * (1 - p) / mat.size)
+    # Entries of one Khatri-Rao column share factor entries, so they are not
+    # independent: column c has nnz(A_1[:, c]) * nnz(A_2[:, c]) nonzeros, a
+    # product of independent Binomial(d_i, delta_i) counts.  Columns are
+    # independent, so the pooled fraction has the exact standard error
+    # from Var = prod(mu_i^2 + s_i^2) - prod(mu_i^2), with mu_i = d_i delta_i
+    # and s_i^2 = d_i delta_i (1 - delta_i).
+    dims, k, maps = (50, 50), 50, 32
 
-    m_vs = build_trp(
-        (50, 50), 50, very_sparse_family((50, 50)), SeedSpec(10)
-    ).materialize()
-    m_sp = build_trp((50, 50), 50, SPARSE, SeedSpec(10)).materialize()
-    z_vs = z_score(m_vs, 1 / 50)
-    z_sp = z_score(m_sp, 1 / 9)
+    def z_score(dists):
+        nnz = sum(
+            np.count_nonzero(build_trp(dims, k, dists, SeedSpec(10).child(i)).materialize())
+            for i in range(maps)
+        )
+        mu = [d * f.delta for d, f in zip(dims, dists)]
+        s2 = [d * f.delta * (1 - f.delta) for d, f in zip(dims, dists)]
+        var = math.prod(m * m + s for m, s in zip(mu, s2)) - math.prod(m * m for m in mu)
+        d, cols = math.prod(dims), maps * k
+        se = math.sqrt(var / cols) / d
+        return (nnz / (cols * d) - math.prod(f.delta for f in dists)) / se, se
+
+    z_vs, se_vs = z_score(very_sparse_family(dims))
+    z_sp, se_sp = z_score((SPARSE, SPARSE))
     _report(
         6,
         abs(z_vs) <= 3.0 and abs(z_sp) <= 3.0,
-        f"nnz fraction z-scores: very sparse {z_vs:+.2f}, sign(1/3) {z_sp:+.2f} "
-        "(band: 3 binomial sigma)",
+        f"nnz fraction z-scores over {maps} maps: very sparse {z_vs:+.2f} "
+        f"(SE {se_vs:.2g}), sign(1/3) {z_sp:+.2f} (SE {se_sp:.2g}) "
+        "(band: 3 exact standard errors)",
     )
 
 

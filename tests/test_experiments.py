@@ -245,6 +245,23 @@ def test_built_maps_follow_the_exact_law(dist_kind, kind):
         assert abs(var - want) < 4 * math.sqrt((fourth - var**2) / n)
 
 
+@pytest.mark.parametrize("dims", [(6,), (2, 3), (2, 3, 2)], ids=["order1", "order2", "order3"])
+@pytest.mark.parametrize("dist_kind", ["gaussian", "sparse", "very_sparse"])
+@pytest.mark.parametrize("kind", ["rp", "trp"])
+def test_a_one_trial_sample_is_the_map_built_from_child_0(kind, dist_kind, dims):
+    # A one-replicate map and a one-trial sampler block draw the same
+    # factors from one stream, so criterion 3's sampler vouches for the
+    # maps the runs build; only the kernels' rounding differs.
+    cfg = make_config(dist_kind=dist_kind, dims=dims)
+    layout, T, dist = experiments._layout(cfg, kind)
+    x = np.random.default_rng(18).standard_normal(cfg.d)
+    for i in range(100):
+        seed = SeedSpec(18).child(i)
+        y = build_map(kind, layout, 4, dist, T, seed.child(0))(x)
+        want = stats.squared_norm_samples(layout, 4, dist, x, 1, seed)[0]
+        assert float(y @ y) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("kind, entries", [("rp", 10 * 1 * 3 * 1), ("trp", 10 * 1 * 3 * 3),
                                            ("trp_t", 10 * 2 * 3 * 3)])
 def test_variance_draws_only_the_rows_e1_reads(monkeypatch, kind, entries):
@@ -280,9 +297,9 @@ def test_order_3_sketch_records_equal_a_direct_library_computation():
                     approx = averaged_low_rank_approx(target, ensemble)
                 else:
                     if kind == "rp":
-                        omega = build_conventional(36, k, gauss, seed.child(0))
+                        omega = build_conventional(36, k, gauss, seed)
                     else:
-                        omega = build_trp((6, 6), k, gauss, seed.child(0))
+                        omega = build_trp((6, 6), k, gauss, seed)
                     approx = low_rank_approx(target, omega)
                 want.append(relative_error(target, approx))
     records = run_experiment(cfg)

@@ -27,7 +27,6 @@ from tensorproj.sketch import (
     relative_error,
 )
 from tensorproj.stats import (
-    _pair_distances,
     cosine_similarity_rmse,
     exact_variance,
     pairwise_distance_ratio,
@@ -212,7 +211,6 @@ COMPLEX_CALLS = {
     "squared_norm_samples": lambda: squared_norm_samples((3, 4), 2, GAUSS, _XC, 3, SeedSpec(0)),
     "theoretical_variance": lambda: theoretical_variance(_XC, 3.0, 2),
     "exact_variance": lambda: exact_variance(_XC, (3, 4), 3.0, 2),
-    "pair_distances": lambda: _pair_distances(_PC),
     "pairwise_distance_ratio": lambda: pairwise_distance_ratio(_PC, [lambda x: x]),
     "cosine_similarity_rmse": lambda: cosine_similarity_rmse(_PC, [lambda x: x]),
     "cosine_similarity_rmse-map-output": lambda: cosine_similarity_rmse(
@@ -552,6 +550,20 @@ def test_build_map_is_its_kind_builder_on_the_same_seed():
     for got, want in zip(ens.replicates, build_ensemble((3, 4), 5, SPARSE, 2, seed).replicates):
         for a, b in zip(got.factors, want.factors):
             assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dist", [GAUSS, SPARSE, EntryDistribution.very_sparse(30)],
+                         ids=["gaussian", "sparse", "very_sparse"])
+def test_one_factor_trp_is_the_dense_map_of_the_same_seed(dist):
+    # A TRP draws its factors in mode order from its seed's one stream, so
+    # its one factor is the dense map's matrix, bit for bit.
+    x = np.random.default_rng(16).standard_normal((4, 30))
+    for i in range(20):
+        seed = SeedSpec(16).child(i)
+        trp, rp = build_trp((30,), 6, dist, seed), build_conventional(30, 6, dist, seed)
+        assert_array_equal(trp.factors[0], rp.matrix)
+        if dist is GAUSS:  # the sign-pattern kernel rounds differently
+            assert_array_equal(trp(x), rp(x))
 
 
 def test_build_map_rejects_bad_requests():
