@@ -11,14 +11,15 @@ matrix is never formed.  :meth:`TensorRandomProjection.apply` forms only the
 ``(d / d_1) x k`` Khatri-Rao block ``A_2 (.) ... (.) A_N`` of the trailing
 factors, multiplies the batch of ``n`` inputs, reshaped to
 ``(n, d_1, d / d_1)``, by it in one GEMM of ``n * d * k`` multiply-adds, and
-reduces the ``n x d_1 x k`` intermediate against ``A_1``; the Monte-Carlo
-sampler in :mod:`tensorproj.stats` runs the same kernel on a stack of maps.
+reduces the ``n x d_1 x k`` intermediate against ``A_1``.  Every map, and
+the Monte-Carlo sampler in :mod:`tensorproj.stats` on a stack of maps, runs
+this one kernel on the stored factors, so a map applies as it materializes.
 Storage drops from ``k * d`` for a dense map to ``k * sum(d_i)``.
 
 ``TrpEnsemble`` averages T independent TRPs with a ``1/sqrt(T)`` scale so the
 map stays an expected isometry while the fourth-moment part of the squared
 norm variance shrinks by ``1/T``.  ``ConventionalRp``, the unstructured
-dense baseline, is the one-factor TRP with a dense ``apply``.
+dense baseline, is the one-factor TRP, whose kernel is one plain GEMM.
 
 Maps are built one at a time, by kind: :func:`build_map` returns the one
 map of a kind drawn from a seed, and a replicated run builds map i from the
@@ -117,10 +118,8 @@ class TensorRandomProjection:
 
         Costs one GEMM of ``n * d * k`` multiply-adds, plus forming the
         ``(d / d_1) x k`` Khatri-Rao block of the trailing factors and an
-        ``n x d_1 x k`` intermediate (see the module docstring).  When every
-        factor is sparse-sign the same contraction runs on the sign pattern
-        of the factors and a single scale ``prod(1/sqrt(delta_i)) / sqrt(k)``
-        is applied at the end.
+        ``n x d_1 x k`` intermediate (see the module docstring).  Every map
+        runs this one kernel on its stored factors, whatever their law.
         """
         xs, single = _as_batch(x, self.d)
         if all(dist.kind == "sparse_sign" for dist in self.dists):
@@ -132,9 +131,9 @@ class TensorRandomProjection:
     __call__ = apply
 
     def _apply_sparse(self, xs: np.ndarray) -> np.ndarray:
-        signs = [np.sign(f) for f in self.factors]
-        scale = math.prod(1.0 / math.sqrt(d.delta) for d in self.dists)
-        return _contract(xs, signs) * (scale / math.sqrt(self.k))
+        # The same kernel: only the seam where the benchmark counts
+        # all-sparse-sign applies.  ROADMAP item 1(a) retires it and its branch.
+        return _contract(xs, self.factors) / math.sqrt(self.k)
 
     def materialize(self) -> np.ndarray:
         """Explicit ``d x k`` Khatri-Rao product of the factors, unscaled.
@@ -208,9 +207,9 @@ class TrpEnsemble:
 class ConventionalRp(TensorRandomProjection):
     """Dense unstructured random projection: the one-factor TRP, ``d x k``.
 
-    Shape, storage, sparsity and :meth:`materialize` are the TRP's; only
-    ``apply`` is its own, a plain ``x @ matrix / sqrt(k)`` for every entry
-    distribution (the sign-pattern kernel rounds differently).
+    Everything is the TRP's: ``apply`` runs the one kernel, on one factor
+    ``x @ matrix / sqrt(k)``, and is a method of its own only so that the
+    benchmark counts dense applies apart.
     """
 
     @property
@@ -219,7 +218,7 @@ class ConventionalRp(TensorRandomProjection):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         xs, single = _as_batch(x, self.d)
-        y = (xs @ self.matrix) / math.sqrt(self.k)
+        y = _contract(xs, self.factors) / math.sqrt(self.k)
         return y[0] if single else y
 
     __call__ = apply

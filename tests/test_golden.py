@@ -1,17 +1,26 @@
 """Golden sha256 digests of the CLI CSV, one tiny config per experiment.
 
 A change to the kernels, the estimators or an RNG stream that moves any
-output byte fails here.  When such a change is intended, rerun the config,
-check the new values against the old ones (a kernel refactor should move
-them only at rounding level), and update the digest in the same change,
-saying why.  The digests were taken with numpy 2 and OpenBLAS on x86-64;
-another BLAS may round differently.
+output byte fails here.  When such a change is intended, run this file as
+a script before and after it, ``PYTHONPATH=src python tests/test_golden.py
+[NAME...]``: it prints each config's sha256 and the mean ± SE over reps of
+each (map kind, k) cell.  Check the new values against the old ones (a
+kernel refactor should move them only at rounding level), and update the
+digest in the same change, saying why.  The digests were taken with numpy 2
+and OpenBLAS on x86-64; another BLAS may round differently.
 """
 
+import contextlib
 import hashlib
+import io
 import math
+import sys
+import tempfile
 import warnings
+from collections import defaultdict
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tensorproj.cli import main
@@ -23,7 +32,7 @@ GOLDEN = {
     "distance-sparse-order3": (
         ["--experiment", "distance", "--d", "24", "--dims", "2x3x4", "--dist", "sparse",
          "--k", "3,6", "--n", "6", "--reps", "2", "--T", "2", "--seed", "3"],
-        "18d56b42b142665688b5d429d1c9b67104c586917c7fc31a2c6c62b33182e94e",
+        "ae0d5fb1a3999d1eb07400e02b6e71ef886bd8307926610f632d5e98397eb6bd",
     ),
     "cosine-gaussian-order2": (
         ["--experiment", "cosine", "--d", "20", "--dims", "4x5",
@@ -66,7 +75,7 @@ GOLDEN = {
     "sketch-very-sparse-order3": (
         ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4", "--dist", "very_sparse",
          "--k", "3,6", "--reps", "2", "--T", "3", "--seed", "8"],
-        "a5a902bcaea0090f162edd768e897a5b79423e2302ab877e8d7984319eadcea2",
+        "a57637afbca958caec57e4d6299ab4eea925a054bd43185ad589a118690c456b",
     ),
     # Map kinds and k values out of sorted order: each draw is seeded by the
     # position of its kind and k on the command line, while the rows are
@@ -82,7 +91,7 @@ GOLDEN = {
     "distance-sparse-chunks": (
         ["--experiment", "distance", "--d", "2500", "--dist", "sparse",
          "--n", "60", "--k", "5,100", "--reps", "2", "--seed", "13"],
-        "06601a4c8b447cbad84ca17124f87dcf6f8f5f6efde11d7c13f484ff8dac92a2",
+        "f09f70761eef1c03a39cadc84f81ecdd34e9fb38ceef9c15c16ff4487ed6017d",
     ),
     "sketch-gaussian-unsorted": (
         ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4", "--map", "trp_t,rp,trp",
@@ -129,3 +138,30 @@ def test_cli_csv_round_trips_byte_for_byte(tmp_path):
     assert main(argv + ["--out", str(out)]) == 0
     write_csv(read_csv(str(out)), str(copy))
     assert copy.read_bytes() == out.read_bytes()
+
+
+def _report(name: str) -> None:
+    """Print a config's sha256 and the mean ± SE over reps of each (map kind, k) cell."""
+    argv, digest = GOLDEN[name]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = Path(tmp) / "out.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main(argv + ["--out", str(out)])
+        if status != 0:
+            raise SystemExit(f"{name}: trp-bench exited with {status}")
+        sha = hashlib.sha256(out.read_bytes()).hexdigest()
+        records = read_csv(str(out))
+    print(f"{name} {sha} {'holds' if sha == digest else 'MOVED'} ({len(caught)} warnings)")
+    cells = defaultdict(list)
+    for r in records:
+        cells[r.map_kind, r.k, r.metric].append(r.value)
+    for (kind, k, metric), values in cells.items():
+        v = np.array(values)
+        se = v.std(ddof=1) / math.sqrt(v.size) if v.size > 1 else float("nan")
+        print(f"  {kind:5} k={k:<4} {metric} {v.mean():.17g} ± {se:.3g}")
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:] or GOLDEN:
+        _report(name)
