@@ -13,6 +13,7 @@ cross-language bit-exactness promise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,7 +40,7 @@ class EntryDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "sparse_sign"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if isinstance(self.delta, (bool, np.bool_)):
+        if isinstance(self.delta, bool) or not isinstance(self.delta, numbers.Real):
             raise ValueError(f"delta must be a real number, got {self.delta!r}")
         if self.kind == "gaussian" and self.delta != 1.0:
             raise ValueError("gaussian entries have no sparsity parameter")

@@ -88,10 +88,18 @@ class TensorRandomProjection:
     dists: tuple[EntryDistribution, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.factors, np.ndarray):
+            raise ValueError(
+                f"factors must be a sequence of (d_i, k) matrices, got one array of shape "
+                f"{self.factors.shape}"
+            )
         if not self.factors:
             raise ValueError("a projection needs at least one factor")
         if len(self.factors) != len(self.dists):
             raise ValueError("one entry distribution per factor is required")
+        for dist in self.dists:
+            if not isinstance(dist, EntryDistribution):
+                raise ValueError(f"each dist must be an EntryDistribution, got {dist!r}")
         # Builders skip these checks: their fresh draws are finite float64.
         factors = tuple(_check_finite(_as_real(f)) for f in self.factors)
         for f in factors:
@@ -170,6 +178,9 @@ class TrpEnsemble:
     def __post_init__(self) -> None:
         if not self.replicates:
             raise ValueError("an ensemble needs at least one replicate")
+        for rep in self.replicates:
+            if not isinstance(rep, TensorRandomProjection):
+                raise ValueError(f"each replicate must be a TensorRandomProjection, got {rep!r}")
         dims = self.replicates[0].dims
         k = self.replicates[0].k
         for rep in self.replicates[1:]:
@@ -212,6 +223,11 @@ class ConventionalRp(TensorRandomProjection):
     benchmark counts dense applies apart.
     """
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.factors) != 1:
+            raise ValueError(f"a dense projection has one factor, got {len(self.factors)}")
+
     @property
     def matrix(self) -> np.ndarray:
         return self.factors[0]
@@ -252,7 +268,7 @@ def build_ensemble(
     dims = _check_shape(dims, k, T)
     dists = _per_factor(dist, len(dims))
     reps = tuple(build_trp(dims, k, dists, seed.child(t)) for t in range(T))
-    return TrpEnsemble(reps)
+    return _unchecked(TrpEnsemble, replicates=reps)
 
 
 def build_conventional(

@@ -45,6 +45,12 @@ def test_delta_refuses_a_bool(flag):
         EntryDistribution("gaussian", delta=flag)
 
 
+def test_delta_refuses_a_string():
+    # "0.5" used to reach the interval check and fail with a bare TypeError.
+    with pytest.raises(ValueError, match="delta must be a real number, got '0.5'"):
+        EntryDistribution("sparse_sign", "0.5")
+
+
 def test_fourth_moments():
     assert EntryDistribution.gaussian().fourth_moment() == 3.0
     assert EntryDistribution.sparse_sign(1 / 3).fourth_moment() == pytest.approx(3.0)

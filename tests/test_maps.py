@@ -102,9 +102,8 @@ def test_kernel_with_an_all_zero_factor_column(dims, dist):
 
 
 def test_sparse_and_dense_paths_agree():
-    # The same factor values run through the sign-pattern route when the
-    # distributions say sparse_sign, and through the plain contraction when
-    # they do not; both must compute the same map.
+    # The same factor values, labelled sparse_sign or Gaussian, run the one
+    # kernel on the stored factors: the label never changes the arithmetic.
     cases = [
         ((6, 7), (SPARSE, EntryDistribution.sparse_sign(0.5))),
         ((5, 6, 7), very_sparse_family((5, 6, 7))),
@@ -113,7 +112,21 @@ def test_sparse_and_dense_paths_agree():
         trp = build_trp(dims, 4, dists, SeedSpec(3))
         relabeled = TensorRandomProjection(trp.factors, (GAUSS,) * len(dims))
         xs = np.random.default_rng(8).standard_normal((9, trp.d))
-        assert_allclose(trp.apply(xs), relabeled.apply(xs), atol=1e-12)
+        assert_array_equal(trp.apply(xs), relabeled.apply(xs))
+
+
+def test_a_hand_built_sparse_map_applies_as_it_materializes():
+    # The factor is not +-1/sqrt(delta); the map is still its stored factor.
+    # A kernel that read only the factors' signs and the law gave 0.0 here.
+    trp = TensorRandomProjection((np.array([[0.3], [-2.0]]),), (SPARSE,))
+    x = np.ones(2)
+    assert_array_equal(trp.apply(x), x @ trp.materialize() / math.sqrt(trp.k))
+    assert_allclose(trp.apply(x), [-1.7], rtol=1e-15)
+
+
+def test_a_dist_that_is_not_an_entry_distribution_is_refused():
+    with pytest.raises(ValueError, match="each dist must be an EntryDistribution, got 'gaussian'"):
+        TensorRandomProjection((np.ones((2, 3)),), ("gaussian",))
 
 
 def test_zero_input_gives_zero_output():
@@ -320,6 +333,20 @@ def test_ensemble_requires_matching_replicates():
         TrpEnsemble(())
 
 
+@pytest.mark.parametrize("cls", [TensorRandomProjection, ConventionalRp])
+def test_factors_are_a_sequence_not_one_array(cls):
+    # One (3, 2) array used to fail on numpy's ambiguous truth value.
+    with pytest.raises(ValueError, match=r"got one array of shape \(3, 2\)"):
+        cls(np.ones((3, 2)), (GAUSS,))
+
+
+def test_an_ensemble_refuses_replicates_that_are_not_maps():
+    from tensorproj.maps import TrpEnsemble
+
+    with pytest.raises(ValueError, match="each replicate must be a TensorRandomProjection, got 1"):
+        TrpEnsemble((1, 2))
+
+
 # --------------------------------------------------------------- materialize
 
 
@@ -521,10 +548,18 @@ def test_conventional_rp_is_a_one_factor_trp(dist):
     assert rp.storage_count() == 30 * 6
     assert rp.expected_sparsity() == dist.delta
     assert_array_equal(rp.materialize(), rp.matrix)
-    # Its own dense apply, bitwise, not the TRP's sign-pattern kernel.
+    # The one kernel on one factor is a plain GEMM, and a TRP on the same
+    # factor runs it too, whatever the law.
     x = np.random.default_rng(3).standard_normal((20, 30))
     assert_array_equal(rp.apply(x), (x @ rp.matrix) / math.sqrt(6))
     assert_array_equal(rp(x[0]), (x[:1] @ rp.matrix)[0] / math.sqrt(6))
+    assert_array_equal(TensorRandomProjection(rp.factors, rp.dists).apply(x), rp.apply(x))
+
+
+def test_a_dense_map_has_exactly_one_factor():
+    # Two factors used to build a map with d = d_1 d_2 whose matrix was A_1.
+    with pytest.raises(ValueError, match="a dense projection has one factor, got 2"):
+        ConventionalRp((np.ones((2, 3)), np.ones((4, 3))), (GAUSS, GAUSS))
 
 
 def test_build_map_kinds():
@@ -556,14 +591,14 @@ def test_build_map_is_its_kind_builder_on_the_same_seed():
                          ids=["gaussian", "sparse", "very_sparse"])
 def test_one_factor_trp_is_the_dense_map_of_the_same_seed(dist):
     # A TRP draws its factors in mode order from its seed's one stream, so
-    # its one factor is the dense map's matrix, bit for bit.
+    # its one factor is the dense map's matrix, bit for bit, and both apply
+    # it with the one kernel.
     x = np.random.default_rng(16).standard_normal((4, 30))
     for i in range(20):
         seed = SeedSpec(16).child(i)
         trp, rp = build_trp((30,), 6, dist, seed), build_conventional(30, 6, dist, seed)
         assert_array_equal(trp.factors[0], rp.matrix)
-        if dist is GAUSS:  # the sign-pattern kernel rounds differently
-            assert_array_equal(trp(x), rp(x))
+        assert_array_equal(trp(x), rp(x))
 
 
 def test_build_map_rejects_bad_requests():
