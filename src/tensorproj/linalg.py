@@ -3,7 +3,9 @@
 Every module sits on this one, so it owns the input policy: arrays are real
 (:func:`_as_real`) and finite (:func:`_check_finite`), and sizes positive
 integers (:func:`_check_sizes`, through :func:`_check_shape` for dims, k and
-T).  Callers add only their own shapes.
+T).  Callers add only their own shapes.  A map calls :func:`_check_finite`
+on its input only when its kernel's output is not finite (see
+:mod:`tensorproj.maps`), so finite input is read once.
 
 Everything else here operates on plain numpy arrays (row-major).  An order-N
 tensor with dimensions ``(d_1, ..., d_N)`` is identified with a vector of

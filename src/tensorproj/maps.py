@@ -16,6 +16,11 @@ the Monte-Carlo sampler in :mod:`tensorproj.stats` on a stack of maps, runs
 this one kernel on the stored factors, so a map applies as it materializes.
 Storage drops from ``k * d`` for a dense map to ``k * sum(d_i)``.
 
+An ``apply`` reads its input once, in the kernel.  Its finiteness check
+rides on the kernel's ``(n, k)`` output, since a NaN or infinite input entry
+makes its whole output row non-finite; only an output that is not finite
+rescans the input.
+
 ``TrpEnsemble`` averages T independent TRPs with a ``1/sqrt(T)`` scale so the
 map stays an expected isometry while the fourth-moment part of the squared
 norm variance shrinks by ``1/T``.  ``ConventionalRp``, the unstructured
@@ -51,7 +56,11 @@ MAP_KINDS = ("rp", "trp", "trp_t")
 
 
 def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
-    """The one input check of every map: a finite real vector or ``(n, d)`` batch."""
+    """The shape check of every map's input: a real vector or ``(n, d)`` batch.
+
+    It does not read the entries: :func:`_apply_checked` refuses NaN and
+    infinite entries from the kernel's output.
+    """
     x = _as_real(x)
     if x.ndim not in (1, 2):
         raise ValueError(
@@ -62,7 +71,7 @@ def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
         x = x[None, :]
     if x.shape[1] != d:
         raise ValueError(f"input has {x.shape[1]} entries, map expects {d}")
-    return _check_finite(x), single
+    return x, single
 
 
 def _contract(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -80,6 +89,26 @@ def _contract(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     return np.einsum("...nij,...ij->...nj", t, head)
 
 
+def _apply_checked(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """``_contract(xs, factors) / sqrt(k)``, refusing an ``xs`` with NaN or inf.
+
+    The finiteness check rides on the ``(n, k)`` output: a NaN or infinite
+    entry of ``xs`` makes its whole output row NaN or infinite, even where it
+    meets only zero factor entries (``0 * inf`` is NaN), so a finite output
+    sum proves the input finite.  Only a sum that is not finite, from such
+    an entry or from overflow, rescans ``xs``.  The kernel runs with only
+    ``invalid`` silenced: the NaNs a refused input makes warn nothing, and a
+    finite input that overflows still warns.
+    """
+    with np.errstate(invalid="ignore"):
+        y = _contract(xs, factors) / math.sqrt(factors[0].shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = y.sum()
+    if not np.isfinite(total):
+        _check_finite(xs)
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class TensorRandomProjection:
     """Khatri-Rao structured projection from ``prod(dims)`` down to ``k``."""
@@ -93,21 +122,23 @@ class TensorRandomProjection:
                 f"factors must be a sequence of (d_i, k) matrices, got one array of shape "
                 f"{self.factors.shape}"
             )
-        if not self.factors:
+        factors, dists = tuple(self.factors), tuple(self.dists)
+        if not factors:
             raise ValueError("a projection needs at least one factor")
-        if len(self.factors) != len(self.dists):
+        if len(factors) != len(dists):
             raise ValueError("one entry distribution per factor is required")
-        for dist in self.dists:
+        for dist in dists:
             if not isinstance(dist, EntryDistribution):
                 raise ValueError(f"each dist must be an EntryDistribution, got {dist!r}")
         # Builders skip these checks: their fresh draws are finite float64.
-        factors = tuple(_check_finite(_as_real(f)) for f in self.factors)
+        factors = tuple(_check_finite(_as_real(f)) for f in factors)
         for f in factors:
             if f.ndim != 2:
                 raise ValueError(f"each factor must be a (d_i, k) matrix, got shape {f.shape}")
             if f.shape[1] != factors[0].shape[1]:
                 raise ValueError("factors must share the same column count")
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "dists", dists)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -127,13 +158,16 @@ class TensorRandomProjection:
         Costs one GEMM of ``n * d * k`` multiply-adds, plus forming the
         ``(d / d_1) x k`` Khatri-Rao block of the trailing factors and an
         ``n x d_1 x k`` intermediate (see the module docstring).  Every map
-        runs this one kernel on its stored factors, whatever their law.
+        runs this one kernel on its stored factors, whatever their law.  It
+        reads ``x`` once: NaN or infinite entries are refused from the
+        kernel's output, and ``x`` is rescanned only when that output is not
+        finite.
         """
         xs, single = _as_batch(x, self.d)
         if all(dist.kind == "sparse_sign" for dist in self.dists):
             y = self._apply_sparse(xs)
         else:
-            y = _contract(xs, self.factors) / math.sqrt(self.k)
+            y = _apply_checked(xs, self.factors)
         return y[0] if single else y
 
     __call__ = apply
@@ -141,7 +175,7 @@ class TensorRandomProjection:
     def _apply_sparse(self, xs: np.ndarray) -> np.ndarray:
         # The same kernel: only the seam where the benchmark counts
         # all-sparse-sign applies.  ROADMAP item 1(a) retires it and its branch.
-        return _contract(xs, self.factors) / math.sqrt(self.k)
+        return _apply_checked(xs, self.factors)
 
     def materialize(self) -> np.ndarray:
         """Explicit ``d x k`` Khatri-Rao product of the factors, unscaled.
@@ -163,8 +197,10 @@ class TensorRandomProjection:
     def expected_sparsity(self) -> float:
         """Expected fraction of nonzero entries of the materialized map.
 
-        Product of the per-factor nonzero probabilities; Gaussian factors
-        contribute 1 (they are never zero).
+        Product of the nonzero probabilities of the ``dists`` labels;
+        Gaussian factors contribute 1 (they are never zero).  It reads the
+        labels, not the stored factors' zeros: a hand-built map's labels
+        are taken as given.
         """
         return math.prod(d.delta for d in self.dists)
 
@@ -176,16 +212,18 @@ class TrpEnsemble:
     replicates: tuple[TensorRandomProjection, ...]
 
     def __post_init__(self) -> None:
-        if not self.replicates:
+        replicates = tuple(self.replicates)
+        if not replicates:
             raise ValueError("an ensemble needs at least one replicate")
-        for rep in self.replicates:
+        for rep in replicates:
             if not isinstance(rep, TensorRandomProjection):
                 raise ValueError(f"each replicate must be a TensorRandomProjection, got {rep!r}")
-        dims = self.replicates[0].dims
-        k = self.replicates[0].k
-        for rep in self.replicates[1:]:
+        dims = replicates[0].dims
+        k = replicates[0].k
+        for rep in replicates[1:]:
             if rep.dims != dims or rep.k != k:
                 raise ValueError("replicates must share dims and k")
+        object.__setattr__(self, "replicates", replicates)
 
     @property
     def T(self) -> int:
@@ -234,7 +272,7 @@ class ConventionalRp(TensorRandomProjection):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         xs, single = _as_batch(x, self.d)
-        y = _contract(xs, self.factors) / math.sqrt(self.k)
+        y = _apply_checked(xs, self.factors)
         return y[0] if single else y
 
     __call__ = apply

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import kron_vec, linear_to_multi_index
+from tensorproj import maps
 from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
 from tensorproj.linalg import _check_finite, khatri_rao, qr_factor
 from tensorproj.maps import (
     MATERIALIZE_CAP,
     ConventionalRp,
     TensorRandomProjection,
+    TrpEnsemble,
+    _contract,
     build_conventional,
     build_ensemble,
     build_map,
@@ -269,14 +272,57 @@ def test_hand_built_map_rejects_a_bad_factor(cls, factor, match):
         cls((factor,), (GAUSS,))
 
 
+def _gauss(seed: int, shape: tuple[int, ...], zero_row: int | None = None) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal(shape)
+    if zero_row is not None:
+        a[zero_row] = 0.0
+    return a
+
+
+# Maps on d = 12, k = 3 whose materialized row 5 is zero: input entry 5
+# reaches no output through a nonzero weight.
+DEAD_ENTRY_MAPS = {
+    # Entry 5 = 4 * 1 + 1 meets the zero row 1 of the trailing factor in the GEMM.
+    "trailing-zero-row": lambda: TensorRandomProjection(
+        (_gauss(50, (3, 3)), _gauss(51, (4, 3), zero_row=1)), (GAUSS, GAUSS)
+    ),
+    # Entries 4..7 meet the zero row 1 of the head factor in the reduction,
+    # through the sparse-sign seam.
+    "sparse-zero-column": lambda: TensorRandomProjection(
+        tuple(np.sign(_gauss(52, shape, zero_row=row)) * math.sqrt(3)
+              for shape, row in (((3, 3), 1), ((4, 3), None))),
+        (SPARSE, SPARSE),
+    ),
+    "dense-zero-row": lambda: ConventionalRp((_gauss(53, (12, 3), zero_row=5),), (GAUSS,)),
+    "ensemble-of-both": lambda: TrpEnsemble(
+        [DEAD_ENTRY_MAPS["trailing-zero-row"](), DEAD_ENTRY_MAPS["sparse-zero-column"]()]
+    ),
+}
+
+
+@pytest.mark.parametrize("make", DEAD_ENTRY_MAPS.values(), ids=DEAD_ENTRY_MAPS.keys())
+def test_dead_entry_maps_meet_only_zeros(make):
+    m = make()
+    for rep in getattr(m, "replicates", (m,)):
+        assert not rep.materialize()[5].any()
+
+
+# The check reads the kernel's output: 0 * inf and 0 * NaN are NaN, so a bad
+# entry spoils its output row even where it meets only zeros, and the NaNs
+# that the kernel makes of it warn nothing.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("make", BOUNDARY_MAPS.values(), ids=BOUNDARY_MAPS.keys())
+@pytest.mark.parametrize(
+    "make",
+    [*BOUNDARY_MAPS.values(), *DEAD_ENTRY_MAPS.values()],
+    ids=[*BOUNDARY_MAPS, *DEAD_ENTRY_MAPS],
+)
 def test_non_finite_input_is_rejected(make, bad):
     x = np.ones(12)
     x[5] = bad
-    with pytest.raises(ValueError, match="NaN or infinite"):
+    with pytest.raises(ValueError, match="input holds NaN or infinite entries"):
         make().apply(x)
-    with pytest.raises(ValueError, match="NaN or infinite"):
+    with pytest.raises(ValueError, match="input holds NaN or infinite entries"):
         make().apply(np.vstack([np.ones(12), x]))
 
 
@@ -288,6 +334,48 @@ def test_finite_input_whose_sum_overflows_is_accepted():
     x[1, 2] = -math.inf
     with pytest.raises(ValueError, match="NaN or infinite"):
         _check_finite(x)
+
+
+def test_finite_input_gets_no_validation_only_pass(monkeypatch):
+    # Each apply used to rescan its whole input before the kernel read it:
+    # one call per replicate apply, five per trp_t sketch.
+    built = [
+        build_map("trp", (6, 5), 3, GAUSS, 1, SeedSpec(40)),
+        build_map("trp", (6, 5), 3, SPARSE, 1, SeedSpec(41)),
+        build_map("rp", (6, 5), 3, GAUSS, 1, SeedSpec(42)),
+        build_map("trp_t", (6, 5), 3, GAUSS, 5, SeedSpec(43)),
+    ]
+    x = np.random.default_rng(9).standard_normal((8, 30))
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return _check_finite(a)
+
+    monkeypatch.setattr(maps, "_check_finite", counted)
+    for m in built:
+        m.apply(x[0])
+        m.apply(x)
+    low_rank_approx(x, built[0])
+    averaged_low_rank_approx(x, built[3])
+    assert calls == []
+
+
+def test_finite_input_that_overflows_the_kernel_is_not_refused():
+    # Column 0 overflows to inf, column 1 meets inf - inf: the output is not
+    # finite, so the input is rescanned, found finite, and the output stands.
+    head = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    m = TensorRandomProjection((head, np.ones((2, 2))), (GAUSS, GAUSS))
+    x = np.full(6, 1e308)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        y = m.apply(x)
+    assert [str(w.message) for w in caught] == ["overflow encountered in matmul"]
+    assert_array_equal(y, [math.inf, math.nan])
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _contract(x[None, :], m.factors)[0] / math.sqrt(2)
+    assert y.tobytes() == kernel.tobytes()
+    assert np.geterr()["invalid"] == "warn"
 
 
 # ------------------------------------------------------------------ ensemble
@@ -323,8 +411,6 @@ def test_ensemble_reads_an_iterator_of_distributions_once():
 
 
 def test_ensemble_requires_matching_replicates():
-    from tensorproj.maps import TrpEnsemble
-
     a = build_trp((2, 3), 2, GAUSS, SeedSpec(0))
     b = build_trp((3, 2), 2, GAUSS, SeedSpec(0))
     with pytest.raises(ValueError, match="share dims and k"):
@@ -340,9 +426,21 @@ def test_factors_are_a_sequence_not_one_array(cls):
         cls(np.ones((3, 2)), (GAUSS,))
 
 
-def test_an_ensemble_refuses_replicates_that_are_not_maps():
-    from tensorproj.maps import TrpEnsemble
+def test_constructors_take_any_iterable_and_store_tuples():
+    # A generator used to fail with a bare TypeError ("object of type
+    # 'generator' has no len()", "'generator' object is not subscriptable"),
+    # and a list of dists was stored as a list.
+    factors = (np.ones((3, 2)), np.arange(4.0).reshape(2, 2))
+    trp = TensorRandomProjection((f for f in factors), (d for d in (GAUSS, SPARSE)))
+    assert type(trp.factors) is tuple and trp.dims == (3, 2)
+    assert trp.dists == (GAUSS, SPARSE)
+    assert type(TensorRandomProjection(list(factors), [GAUSS, SPARSE]).dists) is tuple
+    reps = [build_trp((2, 3), 2, GAUSS, SeedSpec(s)) for s in range(3)]
+    ens = TrpEnsemble(rep for rep in reps)
+    assert ens.replicates == tuple(reps) and ens.T == 3
 
+
+def test_an_ensemble_refuses_replicates_that_are_not_maps():
     with pytest.raises(ValueError, match="each replicate must be a TensorRandomProjection, got 1"):
         TrpEnsemble((1, 2))
 
