@@ -2,15 +2,7 @@
 
 from .distributions import EntryDistribution, SeedSpec, very_sparse_family
 from .linalg import khatri_rao, qr_factor
-from .maps import (
-    ConventionalRp,
-    TensorRandomProjection,
-    TrpEnsemble,
-    build_conventional,
-    build_ensemble,
-    build_map,
-    build_trp,
-)
+from .maps import ConventionalRp, TensorRandomProjection, TrpEnsemble, build_map
 from .stats import (
     CosineRmse,
     DistortionReport,
@@ -53,10 +45,7 @@ __all__ = [
     "TensorRandomProjection",
     "TrpEnsemble",
     "averaged_low_rank_approx",
-    "build_conventional",
-    "build_ensemble",
     "build_map",
-    "build_trp",
     "cosine_similarity_rmse",
     "exact_variance",
     "gen_synthetic",

@@ -26,15 +26,15 @@ map stays an expected isometry while the fourth-moment part of the squared
 norm variance shrinks by ``1/T``.  ``ConventionalRp``, the unstructured
 dense baseline, is the one-factor TRP, whose kernel is one plain GEMM.
 
-Maps are built one at a time, by kind: :func:`build_map` returns the one
-map of a kind drawn from a seed, and a replicated run builds map i from the
-seed's child stream i.  One random object draws from one stream: a TRP draws
-its factors in mode order from its seed's generator, the layout of a
-one-trial block of :func:`tensorproj.stats.squared_norm_samples`, so a
+:func:`build_map` is the one map builder: it checks a map's kind and sizes
+once and hands the draw to its kind's step, and a replicated run builds map
+i from the seed's child stream i.  One random object draws from one stream:
+a TRP draws its factors in mode order from its seed's generator, the layout
+of a one-trial block of :func:`tensorproj.stats.squared_norm_samples`, so a
 one-factor TRP is bitwise the dense map of the same seed.  An ensemble
-draws replicate t from the seed's child stream t.  The builders construct
-maps from their own fresh draws without re-checking them; the constructors
-check every field.
+draws replicate t from the seed's child stream t.  The steps construct maps
+from their own fresh draws without re-checking them; the constructors check
+every field.
 """
 
 from __future__ import annotations
@@ -95,18 +95,20 @@ def _apply_checked(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     The finiteness check rides on the ``(n, k)`` output: a NaN or infinite
     entry of ``xs`` makes its whole output row NaN or infinite, even where it
     meets only zero factor entries (``0 * inf`` is NaN), so a finite output
-    sum proves the input finite.  Only a sum that is not finite, from such
-    an entry or from overflow, rescans ``xs``.  The kernel runs with only
-    ``invalid`` silenced: the NaNs a refused input makes warn nothing, and a
-    finite input that overflows still warns.
+    sum proves the input finite.  The kernel runs silenced, so a refused
+    input warns nothing, even where its finite entries overflow.  Only a sum
+    that is not finite rescans ``xs``, and a finite ``xs`` that overflowed
+    re-runs the kernel with only ``invalid`` silenced, to warn of it.
     """
-    with np.errstate(invalid="ignore"):
-        y = _contract(xs, factors) / math.sqrt(factors[0].shape[-1])
+    scale = math.sqrt(factors[0].shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
+        y = _contract(xs, factors) / scale
         total = y.sum()
-    if not np.isfinite(total):
-        _check_finite(xs)
-    return y
+    if np.isfinite(total):
+        return y
+    _check_finite(xs)
+    with np.errstate(invalid="ignore"):
+        return _contract(xs, factors) / scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,13 +281,12 @@ class ConventionalRp(TensorRandomProjection):
 
 
 def build_trp(
-    dims: Sequence[int],
+    dims: tuple[int, ...],
     k: int,
     dist: EntryDistribution | Sequence[EntryDistribution],
     seed: SeedSpec,
 ) -> TensorRandomProjection:
-    """Sample a TRP; its factors draw, in mode order, from the seed's one stream."""
-    dims = _check_shape(dims, k)
+    """:func:`build_map`'s ``"trp"`` draw: factors in mode order from one stream."""
     dists = _per_factor(dist, len(dims))
     rng = seed.generator()
     factors = tuple(_sample_array(dists[i], (dims[i], k), rng) for i in range(len(dims)))
@@ -293,17 +294,16 @@ def build_trp(
 
 
 def build_ensemble(
-    dims: Sequence[int],
+    dims: tuple[int, ...],
     k: int,
     dist: EntryDistribution | Sequence[EntryDistribution],
     T: int,
     seed: SeedSpec,
 ) -> TrpEnsemble:
-    """Sample T independent TRPs; replicate ``t`` uses the seed's child ``t``.
+    """:func:`build_map`'s ``"trp_t"`` draw: replicate t is :func:`build_trp` on child t.
 
     Replicates never share factors; they share the distributions, resolved once.
     """
-    dims = _check_shape(dims, k, T)
     dists = _per_factor(dist, len(dims))
     reps = tuple(build_trp(dims, k, dists, seed.child(t)) for t in range(T))
     return _unchecked(TrpEnsemble, replicates=reps)
@@ -312,7 +312,7 @@ def build_ensemble(
 def build_conventional(
     d: int, k: int, dist: EntryDistribution, seed: SeedSpec
 ) -> ConventionalRp:
-    _check_shape((d,), k)
+    """:func:`build_map`'s ``"rp"`` draw: one ``(d, k)`` factor."""
     matrix = _sample_array(dist, (d, k), seed.generator())
     return _unchecked(ConventionalRp, factors=(matrix,), dists=(dist,))
 
@@ -325,19 +325,20 @@ def build_map(
     T: int,
     seed: SeedSpec,
 ) -> TensorRandomProjection | TrpEnsemble | ConventionalRp:
-    """The one map of ``kind`` drawn from ``seed``.
+    """The one map of ``kind`` drawn from ``seed``, its sizes checked once.
 
     Kinds are ``"rp"`` (dense on the flattened input of ``prod(dims)``
-    entries), ``"trp"`` and ``"trp_t"`` (ensemble of T replicates); T
-    applies only to ``"trp_t"``.  Replicated runs build map i from the
-    seed's child stream i.
+    entries, one law), ``"trp"`` and ``"trp_t"`` (ensemble of T replicates);
+    T is checked for every kind but shapes only ``"trp_t"``.  Replicated
+    runs build map i from the seed's child stream i.
     """
+    if kind not in MAP_KINDS:
+        raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
+    dims = _check_shape(dims, k, T)
     if kind == "rp":
         if not isinstance(dist, EntryDistribution):
             raise ValueError("a dense projection takes a single distribution")
-        return build_conventional(math.prod(_check_shape(dims, k)), k, dist, seed)
+        return build_conventional(math.prod(dims), k, dist, seed)
     if kind == "trp":
         return build_trp(dims, k, dist, seed)
-    if kind == "trp_t":
-        return build_ensemble(dims, k, dist, T, seed)
-    raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
+    return build_ensemble(dims, k, dist, T, seed)

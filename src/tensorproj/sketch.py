@@ -120,9 +120,9 @@ def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> LowRank:
     factored: the T bases side by side (m x Tk) times the T coefficient
     blocks stacked and divided by T.  Each replicate gets its own QR (and
     its own :class:`RankDeficiencyWarning`); the coefficients of all T come
-    from one ``Q^T X`` over the Tk columns.  ``build_ensemble`` draws
-    replicate t from the seed's child stream t, so all factor matrices
-    across replicates are independent.
+    from one ``Q^T X`` over the Tk columns.  ``build_map("trp_t", ...)``
+    draws replicate t from the seed's child stream t, so all factor
+    matrices across replicates are independent.
     """
     x = _as_matrix(x)
     # A loop, not a comprehension, whose own frame (Python < 3.12) would

@@ -116,6 +116,10 @@ def theoretical_variance(
     several factors and spread-out x, :func:`exact_variance` gives the true
     variance; with every fourth moment at least 3 this closed form is its
     lower bound (see the module docstring).
+
+    A scalar ``fourth_moments`` is one factor's moment (the dense map's),
+    while :func:`exact_variance` applies a scalar to every factor: for
+    ``e_1`` on dims (4, 2) with k = 10, 3.0 gives 0.2 here and 0.8 there.
     """
     if np.ndim(fourth_moments) == 0:
         fourth_moments = [fourth_moments]
@@ -155,8 +159,9 @@ def exact_variance(
     """Exact Var ||f(x)||^2 for a Khatri-Rao map on ``dims``.
 
     ``fourth_moments`` holds one fourth moment per factor; a scalar applies
-    to every factor.  Expands ``E z^4`` from the module docstring over the
-    4^N per-mode choices of ``mu_n`` terms and evaluates each through
+    to every factor, not to one as in :func:`theoretical_variance` (see
+    there).  Expands ``E z^4`` from the module docstring over the 4^N
+    per-mode choices of ``mu_n`` terms and evaluates each through
     :func:`_tied_sum`; choices that differ only by relabeling the three
     pairings share one contraction.  Equals :func:`theoretical_variance`
     for one factor and for x on one coordinate axis; with every fourth
@@ -244,7 +249,7 @@ def squared_norm_samples(
 ) -> np.ndarray:
     """``trials`` draws of ||f(x)||^2 under independent T-replicate maps.
 
-    Distributionally identical to ``build_ensemble(...)`` followed by
+    Distributionally identical to ``build_map("trp_t", ...)`` followed by
     ``apply`` in a loop, but draws whole blocks of maps at once.  A block
     holds ``max(1, _BLOCK_SCRATCH // _trial_scratch(dims, k, T))`` trials,
     a number fixed by the shape alone.  Block b draws each mode's
@@ -252,7 +257,7 @@ def squared_norm_samples(
     b, and is contracted in one kernel call.  So runs that share j whole
     blocks share their draws, while a partial last block draws other
     values than the same trials inside a whole block.  With T = 1, a
-    one-trial run draws the factors ``build_trp`` draws from
+    one-trial run draws the factors of ``build_map("trp", ...)`` on
     ``seed.child(0)``.
     """
     dims = _check_shape(dims, k, T)

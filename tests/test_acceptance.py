@@ -17,12 +17,7 @@ from tensorproj.cli import main as cli_main
 from tensorproj.data import gen_synthetic, load_mnist
 from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
 from tensorproj.experiments import ExperimentConfig, run_experiment
-from tensorproj.maps import (
-    build_conventional,
-    build_ensemble,
-    build_map,
-    build_trp,
-)
+from tensorproj.maps import build_map
 from tensorproj.sketch import (
     averaged_low_rank_approx,
     low_rank_approx,
@@ -64,7 +59,7 @@ def test_criterion_1_lazy_apply_matches_materialized_oracle():
     for dims in [(4, 5), (3, 4, 5), (2, 3, 4, 5)]:
         for k in (1, 3):
             for dist in (GAUSS, SPARSE):
-                trp = build_trp(dims, k, dist, SeedSpec(100).child(configs))
+                trp = build_map("trp", dims, k, dist, 1, SeedSpec(100).child(configs))
                 dense = trp.materialize()
                 rng = np.random.default_rng(200 + configs)
                 for _ in range(20):
@@ -177,8 +172,8 @@ def test_criterion_4_replicate_averaging_shrinks_variance():
 def test_criterion_5_replicated_map_stores_one_twentieth():
     ok = True
     for k in (1, 10, 100):
-        ens = build_ensemble((200, 200), k, GAUSS, 5, SeedSpec(0))
-        rp = build_conventional(40_000, k, GAUSS, SeedSpec(0))
+        ens = build_map("trp_t", (200, 200), k, GAUSS, 5, SeedSpec(0))
+        rp = build_map("rp", (40_000,), k, GAUSS, 1, SeedSpec(0))
         ok = ok and 20 * ens.storage_count() == rp.storage_count()
     _report(
         5,
@@ -199,7 +194,9 @@ def test_criterion_6_materialized_sparsity_fractions():
 
     def z_score(dists):
         nnz = sum(
-            np.count_nonzero(build_trp(dims, k, dists, SeedSpec(10).child(i)).materialize())
+            np.count_nonzero(
+                build_map("trp", dims, k, dists, 1, SeedSpec(10).child(i)).materialize()
+            )
             for i in range(maps)
         )
         mu = [d * f.delta for d, f in zip(dims, dists)]
@@ -329,7 +326,7 @@ def test_criterion_10_sketching_error_decays_and_averaging_helps():
                 seed = base.child(1).child(s).child(ki)
                 if kind == "trp_t":
                     approx = averaged_low_rank_approx(
-                        target, build_ensemble((30, 30), k, GAUSS, 5, seed)
+                        target, build_map("trp_t", (30, 30), k, GAUSS, 5, seed)
                     )
                 else:
                     omega = build_map(kind, dims, k, GAUSS, 1, seed.child(0))
@@ -349,7 +346,8 @@ def test_criterion_10_sketching_error_decays_and_averaging_helps():
     clean = tucker_synthetic(
         900, 2, 5, base.child(0).child(0), noise_fraction=0.0
     ).reshape(900, 900)
-    exact = relative_error(clean, low_rank_approx(clean, build_trp((30, 30), 5, GAUSS, SeedSpec(3000))))
+    omega = build_map("trp", (30, 30), 5, GAUSS, 1, SeedSpec(3000))
+    exact = relative_error(clean, low_rank_approx(clean, omega))
     ok = ok and exact <= 1e-8
     _report(
         10,

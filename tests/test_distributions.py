@@ -14,7 +14,7 @@ from tensorproj.distributions import (
     _sample_array,
     very_sparse_family,
 )
-from tensorproj.maps import build_conventional
+from tensorproj.maps import build_map
 
 
 # --------------------------------------------------------- EntryDistribution
@@ -76,15 +76,15 @@ def test_very_sparse_family_product_rate():
 
 def test_same_seed_bitwise_identical():
     seed = SeedSpec(123).child(4)
-    a = build_conventional(20, 7, EntryDistribution.gaussian(), seed).matrix
-    b = build_conventional(20, 7, EntryDistribution.gaussian(), seed).matrix
+    a = build_map("rp", (20,), 7, EntryDistribution.gaussian(), 1, seed).matrix
+    b = build_map("rp", (20,), 7, EntryDistribution.gaussian(), 1, seed).matrix
     assert_array_equal(a, b)
 
 
 def test_sparse_support_is_exact():
     delta = 0.3
     dist = EntryDistribution.sparse_sign(delta)
-    mat = build_conventional(300, 40, dist, SeedSpec(5)).matrix
+    mat = build_map("rp", (300,), 40, dist, 1, SeedSpec(5)).matrix
     scale = 1 / math.sqrt(delta)
     assert set(np.unique(mat)) <= {-scale, 0.0, scale}
 
@@ -92,13 +92,13 @@ def test_sparse_support_is_exact():
 def test_sparse_nonzero_rate():
     delta = 1 / 3
     dist = EntryDistribution.sparse_sign(delta)
-    mat = build_conventional(1000, 1000, dist, SeedSpec(6)).matrix
+    mat = build_map("rp", (1000,), 1000, dist, 1, SeedSpec(6)).matrix
     rate = np.count_nonzero(mat) / mat.size
     assert abs(rate - delta) <= 3 * math.sqrt(delta * (1 - delta) / mat.size)
 
 
 def test_gaussian_moments():
-    mat = build_conventional(1000, 1000, EntryDistribution.gaussian(), SeedSpec(7)).matrix
+    mat = build_map("rp", (1000,), 1000, EntryDistribution.gaussian(), 1, SeedSpec(7)).matrix
     assert abs(mat.mean()) <= 3 / math.sqrt(mat.size)
     assert mat.var() == pytest.approx(1.0, abs=0.01)
 
@@ -109,14 +109,14 @@ def test_gaussian_moments():
     ("sparse_tenth", EntryDistribution.sparse_sign(0.1)),
 ])
 def test_unit_variance(dist_id, dist):
-    mat = build_conventional(1000, 1000, dist, SeedSpec(8)).matrix
+    mat = build_map("rp", (1000,), 1000, dist, 1, SeedSpec(8)).matrix
     assert mat.var() == pytest.approx(1.0, abs=0.01)
 
 
 @pytest.mark.parametrize("delta", [1 / 3, 0.1, 0.02])
 def test_sparse_fourth_moment_monte_carlo(delta):
     dist = EntryDistribution.sparse_sign(delta)
-    mat = build_conventional(1000, 1000, dist, SeedSpec(9)).matrix
+    mat = build_map("rp", (1000,), 1000, dist, 1, SeedSpec(9)).matrix
     emp = float(np.mean(mat**4))
     assert abs(emp - 1 / delta) <= 0.05 / delta
 

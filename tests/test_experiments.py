@@ -21,7 +21,7 @@ from tensorproj.experiments import (
     run_experiment,
     write_csv,
 )
-from tensorproj.maps import build_conventional, build_ensemble, build_map, build_trp
+from tensorproj.maps import build_map
 from tensorproj.sketch import (
     averaged_low_rank_approx,
     low_rank_approx,
@@ -293,13 +293,13 @@ def test_order_3_sketch_records_equal_a_direct_library_computation():
             for rep in range(2):
                 seed = base.child(1).child(kind_idx).child(k_idx).child(rep)
                 if kind == "trp_t":
-                    ensemble = build_ensemble((6, 6), k, gauss, 2, seed)
+                    ensemble = build_map("trp_t", (6, 6), k, gauss, 2, seed)
                     approx = averaged_low_rank_approx(target, ensemble)
                 else:
                     if kind == "rp":
-                        omega = build_conventional(36, k, gauss, seed)
+                        omega = build_map("rp", (36,), k, gauss, 1, seed)
                     else:
-                        omega = build_trp((6, 6), k, gauss, seed)
+                        omega = build_map("trp", (6, 6), k, gauss, 1, seed)
                     approx = low_rank_approx(target, omega)
                 want.append(relative_error(target, approx))
     records = run_experiment(cfg)

@@ -9,18 +9,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import kron_vec, linear_to_multi_index
 from tensorproj import maps
-from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
-from tensorproj.linalg import _check_finite, khatri_rao, qr_factor
+from tensorproj.distributions import EntryDistribution, SeedSpec, _sample_array, very_sparse_family
+from tensorproj.linalg import _check_finite, _check_shape, khatri_rao, qr_factor
 from tensorproj.maps import (
+    MAP_KINDS,
     MATERIALIZE_CAP,
     ConventionalRp,
     TensorRandomProjection,
     TrpEnsemble,
     _contract,
-    build_conventional,
-    build_ensemble,
     build_map,
-    build_trp,
 )
 from tensorproj.sketch import (
     LowRank,
@@ -59,7 +57,7 @@ def test_hand_worked_two_by_two():
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("dist", [GAUSS, SPARSE], ids=["gaussian", "sparse"])
 def test_apply_matches_materialized_oracle(dims, k, dist):
-    trp = build_trp(dims, k, dist, SeedSpec(42).child(len(dims)))
+    trp = build_map("trp", dims, k, dist, 1, SeedSpec(42).child(len(dims)))
     rng = np.random.default_rng(7)
     dense = trp.materialize()
     for _ in range(5):
@@ -88,14 +86,14 @@ def _assert_matches_oracle(trp, xs):
 @pytest.mark.parametrize("dist", KERNEL_DISTS.values(), ids=KERNEL_DISTS.keys())
 @pytest.mark.parametrize("n", [0, 1, 7])
 def test_kernel_matches_materialized_oracle(dims, dist, n):
-    trp = build_trp(dims, 6, dist(dims), SeedSpec(21).child(len(dims)))
+    trp = build_map("trp", dims, 6, dist(dims), 1, SeedSpec(21).child(len(dims)))
     _assert_matches_oracle(trp, np.random.default_rng(n).standard_normal((n, trp.d)))
 
 
 @pytest.mark.parametrize("dims", KERNEL_DIMS, ids=lambda d: "x".join(map(str, d)))
 @pytest.mark.parametrize("dist", KERNEL_DISTS.values(), ids=KERNEL_DISTS.keys())
 def test_kernel_with_an_all_zero_factor_column(dims, dist):
-    trp = build_trp(dims, 5, dist(dims), SeedSpec(22))
+    trp = build_map("trp", dims, 5, dist(dims), 1, SeedSpec(22))
     factors = [f.copy() for f in trp.factors]
     factors[-1][:, 2] = 0.0
     zeroed = TensorRandomProjection(tuple(factors), trp.dists)
@@ -112,7 +110,7 @@ def test_sparse_and_dense_paths_agree():
         ((5, 6, 7), very_sparse_family((5, 6, 7))),
     ]
     for dims, dists in cases:
-        trp = build_trp(dims, 4, dists, SeedSpec(3))
+        trp = build_map("trp", dims, 4, dists, 1, SeedSpec(3))
         relabeled = TensorRandomProjection(trp.factors, (GAUSS,) * len(dims))
         xs = np.random.default_rng(8).standard_normal((9, trp.d))
         assert_array_equal(trp.apply(xs), relabeled.apply(xs))
@@ -133,7 +131,7 @@ def test_a_dist_that_is_not_an_entry_distribution_is_refused():
 
 
 def test_zero_input_gives_zero_output():
-    trp = build_trp((3, 4), 5, GAUSS, SeedSpec(1))
+    trp = build_map("trp", (3, 4), 5, GAUSS, 1, SeedSpec(1))
     assert_array_equal(trp.apply(np.zeros(12)), np.zeros(5))
 
 
@@ -141,7 +139,7 @@ def test_zero_input_gives_zero_output():
 @given(shape=map_shapes)
 def test_linearity(shape):
     dims, k, seed = shape
-    trp = build_trp(dims, k, GAUSS, SeedSpec(seed))
+    trp = build_map("trp", dims, k, GAUSS, 1, SeedSpec(seed))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(trp.d)
     y = rng.standard_normal(trp.d)
@@ -163,7 +161,7 @@ def test_linearity(shape):
 def test_apply_matches_materialized_matrix_on_shape_edges(dims, k, rows, dist, seed):
     # Size-1 modes, orders 1-4, k = 1 and batches of 0, 1 and n rows all go
     # through the one kernel; each must equal the explicit Khatri-Rao matrix.
-    trp = build_trp(dims, k, dist, SeedSpec(seed))
+    trp = build_map("trp", dims, k, dist, 1, SeedSpec(seed))
     xs = np.random.default_rng(seed).standard_normal((rows, trp.d))
     got = trp.apply(xs)
     want = xs @ trp.materialize() / math.sqrt(k)
@@ -172,7 +170,7 @@ def test_apply_matches_materialized_matrix_on_shape_edges(dims, k, rows, dist, s
 
 
 def test_batch_apply_matches_rows():
-    trp = build_trp((4, 3), 6, SPARSE, SeedSpec(5))
+    trp = build_map("trp", (4, 3), 6, SPARSE, 1, SeedSpec(5))
     xs = np.random.default_rng(6).standard_normal((8, 12))
     batch = trp.apply(xs)
     assert batch.shape == (8, 6)
@@ -181,7 +179,7 @@ def test_batch_apply_matches_rows():
 
 
 def test_apply_rejects_wrong_length():
-    trp = build_trp((3, 4), 2, GAUSS, SeedSpec(0))
+    trp = build_map("trp", (3, 4), 2, GAUSS, 1, SeedSpec(0))
     with pytest.raises(ValueError, match="map expects 12"):
         trp.apply(np.zeros(11))
     with pytest.raises(ValueError):
@@ -190,10 +188,10 @@ def test_apply_rejects_wrong_length():
 
 # Every map kind on d = 12, k = 3, behind the one input check.
 BOUNDARY_MAPS = {
-    "trp": lambda: build_trp((3, 4), 3, GAUSS, SeedSpec(30)),
-    "trp-sparse": lambda: build_trp((3, 4), 3, SPARSE, SeedSpec(30)),
-    "ensemble": lambda: build_ensemble((3, 4), 3, GAUSS, 2, SeedSpec(31)),
-    "rp": lambda: build_conventional(12, 3, GAUSS, SeedSpec(32)),
+    "trp": lambda: build_map("trp", (3, 4), 3, GAUSS, 1, SeedSpec(30)),
+    "trp-sparse": lambda: build_map("trp", (3, 4), 3, SPARSE, 1, SeedSpec(30)),
+    "ensemble": lambda: build_map("trp_t", (3, 4), 3, GAUSS, 2, SeedSpec(31)),
+    "rp": lambda: build_map("rp", (12,), 3, GAUSS, 1, SeedSpec(32)),
 }
 
 
@@ -378,32 +376,60 @@ def test_finite_input_that_overflows_the_kernel_is_not_refused():
     assert np.geterr()["invalid"] == "warn"
 
 
+# A NaN or infinite entry next to finite entries that overflow the kernel.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["trp", "rp"])
+def test_non_finite_input_that_also_overflows_is_refused_without_a_warning(kind, bad):
+    # The kernel used to warn "overflow encountered in matmul" first, and a
+    # caller that turns warnings into errors got that, not the message.
+    m = build_map(kind, (3, 4), 3, GAUSS, 1, SeedSpec(0))
+    x = np.full(12, 1e308)
+    x[0] = bad
+    with pytest.raises(ValueError, match="input holds NaN or infinite entries"):
+        m.apply(x)
+
+
+@pytest.mark.parametrize("kind", ["trp", "rp"])
+def test_finite_input_that_overflows_a_built_map_warns_once(kind):
+    m = build_map(kind, (3, 4), 3, GAUSS, 1, SeedSpec(0))
+    x = np.full(12, 1e308)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        y = m.apply(x)
+    assert [str(w.message) for w in caught] == ["overflow encountered in matmul"]
+    assert not np.isfinite(y).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _contract(x[None, :], m.factors)[0] / math.sqrt(3)
+    assert y.tobytes() == kernel.tobytes()
+
+
 # ------------------------------------------------------------------ ensemble
 
 
 def test_ensemble_of_one_equals_its_replicate():
-    ens = build_ensemble((3, 3), 4, GAUSS, 1, SeedSpec(2))
+    ens = build_map("trp_t", (3, 3), 4, GAUSS, 1, SeedSpec(2))
     x = np.random.default_rng(0).standard_normal(9)
     assert_array_equal(ens.apply(x), ens.replicates[0].apply(x))
 
 
 def test_ensemble_decomposition():
-    ens = build_ensemble((4, 2), 3, GAUSS, 5, SeedSpec(3))
+    ens = build_map("trp_t", (4, 2), 3, GAUSS, 5, SeedSpec(3))
     x = np.random.default_rng(1).standard_normal(8)
     manual = sum(rep.apply(x) for rep in ens.replicates) / math.sqrt(5)
     assert_allclose(ens.apply(x), manual, atol=1e-12)
 
 
 def test_ensemble_replicates_are_independent_draws():
-    ens = build_ensemble((5, 5), 2, GAUSS, 3, SeedSpec(4))
+    ens = build_map("trp_t", (5, 5), 2, GAUSS, 3, SeedSpec(4))
     assert not np.array_equal(ens.replicates[0].factors[0], ens.replicates[1].factors[0])
 
 
 def test_ensemble_reads_an_iterator_of_distributions_once():
     # Every replicate used to re-read the iterator, so replicate 1 found it
     # empty: "got 0 distributions for 2 factors".
-    want = build_ensemble((2, 2), 3, (GAUSS, SPARSE), 2, SeedSpec(5))
-    got = build_ensemble((2, 2), 3, iter([GAUSS, SPARSE]), 2, SeedSpec(5))
+    want = build_map("trp_t", (2, 2), 3, (GAUSS, SPARSE), 2, SeedSpec(5))
+    got = build_map("trp_t", (2, 2), 3, iter([GAUSS, SPARSE]), 2, SeedSpec(5))
     for rep, ref in zip(got.replicates, want.replicates, strict=True):
         assert rep.dists == ref.dists == (GAUSS, SPARSE)
         for a, b in zip(rep.factors, ref.factors, strict=True):
@@ -411,8 +437,8 @@ def test_ensemble_reads_an_iterator_of_distributions_once():
 
 
 def test_ensemble_requires_matching_replicates():
-    a = build_trp((2, 3), 2, GAUSS, SeedSpec(0))
-    b = build_trp((3, 2), 2, GAUSS, SeedSpec(0))
+    a = build_map("trp", (2, 3), 2, GAUSS, 1, SeedSpec(0))
+    b = build_map("trp", (3, 2), 2, GAUSS, 1, SeedSpec(0))
     with pytest.raises(ValueError, match="share dims and k"):
         TrpEnsemble((a, b))
     with pytest.raises(ValueError, match="at least one replicate"):
@@ -435,7 +461,7 @@ def test_constructors_take_any_iterable_and_store_tuples():
     assert type(trp.factors) is tuple and trp.dims == (3, 2)
     assert trp.dists == (GAUSS, SPARSE)
     assert type(TensorRandomProjection(list(factors), [GAUSS, SPARSE]).dists) is tuple
-    reps = [build_trp((2, 3), 2, GAUSS, SeedSpec(s)) for s in range(3)]
+    reps = [build_map("trp", (2, 3), 2, GAUSS, 1, SeedSpec(s)) for s in range(3)]
     ens = TrpEnsemble(rep for rep in reps)
     assert ens.replicates == tuple(reps) and ens.T == 3
 
@@ -449,12 +475,12 @@ def test_an_ensemble_refuses_replicates_that_are_not_maps():
 
 
 def test_materialize_single_factor_is_the_factor():
-    trp = build_trp((6,), 3, GAUSS, SeedSpec(5))
+    trp = build_map("trp", (6,), 3, GAUSS, 1, SeedSpec(5))
     assert_array_equal(trp.materialize(), trp.factors[0])
 
 
 def test_materialize_columns_are_kron_of_factor_columns():
-    trp = build_trp((3, 4, 5), 2, GAUSS, SeedSpec(6))
+    trp = build_map("trp", (3, 4, 5), 2, GAUSS, 1, SeedSpec(6))
     dense = trp.materialize()
     assert dense.shape == (60, 2)
     for j in range(2):
@@ -463,7 +489,7 @@ def test_materialize_columns_are_kron_of_factor_columns():
 
 
 def test_materialize_entry_formula():
-    trp = build_trp((2, 3, 2), 3, SPARSE, SeedSpec(7))
+    trp = build_map("trp", (2, 3, 2), 3, SPARSE, 1, SeedSpec(7))
     dense = trp.materialize()
     for pos in (1, 5, 12):
         index = linear_to_multi_index(pos, trp.dims)
@@ -474,27 +500,27 @@ def test_materialize_entry_formula():
 
 def test_materialize_cap():
     # 4000 * 2501 > MATERIALIZE_CAP, though the factors hold only 6501 entries.
-    big = build_trp((4000, 2501), 1, GAUSS, SeedSpec(8))
+    big = build_map("trp", (4000, 2501), 1, GAUSS, 1, SeedSpec(8))
     assert big.d * big.k > MATERIALIZE_CAP
     with pytest.raises(ValueError, match="cap"):
         big.materialize()
-    assert build_trp((20, 20), 10, GAUSS, SeedSpec(8)).materialize().shape == (400, 10)
+    assert build_map("trp", (20, 20), 10, GAUSS, 1, SeedSpec(8)).materialize().shape == (400, 10)
 
 
 # ------------------------------------------------------- storage and nnz
 
 
 def test_storage_counts():
-    trp = build_trp((200, 200), 10, GAUSS, SeedSpec(9))
+    trp = build_map("trp", (200, 200), 10, GAUSS, 1, SeedSpec(9))
     assert trp.storage_count() == 4000
-    flat = build_trp((400,), 10, GAUSS, SeedSpec(9))
+    flat = build_map("trp", (400,), 10, GAUSS, 1, SeedSpec(9))
     assert flat.storage_count() == 4000
-    rp = build_conventional(400, 10, GAUSS, SeedSpec(9))
+    rp = build_map("rp", (400,), 10, GAUSS, 1, SeedSpec(9))
     assert rp.storage_count() == 4000
 
 
 def test_ensemble_storage_is_sum_of_replicates():
-    ens = build_ensemble((200, 200), 10, GAUSS, 5, SeedSpec(10))
+    ens = build_map("trp_t", (200, 200), 10, GAUSS, 5, SeedSpec(10))
     assert ens.storage_count() == 5 * 4000
 
 
@@ -505,8 +531,8 @@ def test_ensemble_storage_is_sum_of_replicates():
 def test_structured_storage_beats_dense(dims, k):
     # (2, 2) is the one boundary point where the factored and dense counts
     # tie: a*b - (a+b) = (a-1)(b-1) - 1.
-    trp = build_trp(dims, k, GAUSS, SeedSpec(0))
-    rp = build_conventional(math.prod(dims), k, GAUSS, SeedSpec(0))
+    trp = build_map("trp", dims, k, GAUSS, 1, SeedSpec(0))
+    rp = build_map("rp", dims, k, GAUSS, 1, SeedSpec(0))
     if tuple(dims) == (2, 2):
         assert trp.storage_count() == rp.storage_count()
     else:
@@ -514,12 +540,14 @@ def test_structured_storage_beats_dense(dims, k):
 
 
 def test_expected_sparsity():
-    assert build_trp((5, 5), 2, SPARSE, SeedSpec(0)).expected_sparsity() == pytest.approx(1 / 9)
-    assert build_trp((5,), 2, SPARSE, SeedSpec(0)).expected_sparsity() == pytest.approx(1 / 3)
-    vs = build_trp((50, 50), 2, very_sparse_family((50, 50)), SeedSpec(0))
-    assert vs.expected_sparsity() == pytest.approx(1 / 50)
-    assert build_trp((4, 4), 2, GAUSS, SeedSpec(0)).expected_sparsity() == 1.0
-    assert build_conventional(9, 2, SPARSE, SeedSpec(0)).expected_sparsity() == pytest.approx(1 / 3)
+    def sparsity(kind, dims, dist):
+        return build_map(kind, dims, 2, dist, 1, SeedSpec(0)).expected_sparsity()
+
+    assert sparsity("trp", (5, 5), SPARSE) == pytest.approx(1 / 9)
+    assert sparsity("trp", (5,), SPARSE) == pytest.approx(1 / 3)
+    assert sparsity("trp", (50, 50), very_sparse_family((50, 50))) == pytest.approx(1 / 50)
+    assert sparsity("trp", (4, 4), GAUSS) == 1.0
+    assert sparsity("rp", (9,), SPARSE) == pytest.approx(1 / 3)
 
 
 def test_materialized_nnz_fraction_tracks_expected_sparsity():
@@ -527,7 +555,7 @@ def test_materialized_nnz_fraction_tracks_expected_sparsity():
     # product of the factor patterns, so its count fluctuates more than an
     # i.i.d. Bernoulli fill would; specific draws can land outside the
     # 3-sigma binomial band.
-    trp = build_trp((6, 5), 7, SPARSE, SeedSpec(10))
+    trp = build_map("trp", (6, 5), 7, SPARSE, 1, SeedSpec(10))
     dense = trp.materialize()
     frac = np.count_nonzero(dense) / dense.size
     p = trp.expected_sparsity()
@@ -538,33 +566,51 @@ def test_materialized_nnz_fraction_tracks_expected_sparsity():
 
 
 def test_build_trp_deterministic():
-    a = build_trp((3, 4), 2, GAUSS, SeedSpec(11))
-    b = build_trp((3, 4), 2, GAUSS, SeedSpec(11))
+    a = build_map("trp", (3, 4), 2, GAUSS, 1, SeedSpec(11))
+    b = build_map("trp", (3, 4), 2, GAUSS, 1, SeedSpec(11))
     for fa, fb in zip(a.factors, b.factors):
         assert_array_equal(fa, fb)
 
 
 def test_build_trp_factor_streams_differ():
-    trp = build_trp((4, 4), 3, GAUSS, SeedSpec(12))
+    trp = build_map("trp", (4, 4), 3, GAUSS, 1, SeedSpec(12))
     assert not np.array_equal(trp.factors[0], trp.factors[1])
+
+
+def test_build_map_checks_each_maps_sizes_once(monkeypatch):
+    # The per-kind draws used to check again: a dense map's (d,) and k, and
+    # each of an ensemble's T replicates its dims and k.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _check_shape(*args)
+
+    monkeypatch.setattr(maps, "_check_shape", counted)
+    for kind in MAP_KINDS:
+        calls.clear()
+        build_map(kind, (3, 4), 2, GAUSS, 5, SeedSpec(0))
+        assert calls == [((3, 4), 2, 5)], kind
 
 
 def test_build_trp_validation():
     with pytest.raises(ValueError, match="dims"):
-        build_trp((), 2, GAUSS, SeedSpec(0))
+        build_map("trp", (), 2, GAUSS, 1, SeedSpec(0))
     with pytest.raises(ValueError, match="dims"):
-        build_trp((3, 0), 2, GAUSS, SeedSpec(0))
+        build_map("trp", (3, 0), 2, GAUSS, 1, SeedSpec(0))
     with pytest.raises(ValueError, match="k"):
-        build_trp((3, 3), 0, GAUSS, SeedSpec(0))
+        build_map("trp", (3, 3), 0, GAUSS, 1, SeedSpec(0))
 
 
-# Every builder and sampler runs the one shape check, so each rejects a zero
-# or float dim, k and T (where it takes dims or T) with the same message.
+# The map builder, for every kind, and every sampler run the one shape check,
+# so each rejects a zero or float dim, k and T (where it takes dims or T) with
+# the same message.  The builder's rows keep the names of its per-kind draw
+# steps, so their test ids hold: each one calls build_map.
 SHAPE_CHECKED = {
-    "build_trp": ("dims", "k"),
+    "build_trp": ("dims", "k", "T"),
     "build_ensemble": ("dims", "k", "T"),
-    "build_conventional": ("dims", "k"),
-    "build_map-rp": ("dims", "k"),
+    "build_conventional": ("dims", "k", "T"),
+    "build_map-rp": ("dims", "k", "T"),
     "squared_norm_samples": ("dims", "k", "T"),
     "exact_variance": ("dims", "k", "T"),
     "theoretical_variance": ("k", "T"),
@@ -584,10 +630,11 @@ BAD_SHAPES = {
 def _call_shape_checked(name, dims, k, T):
     x = np.ones(int(math.prod(dims)))
     calls = {
-        "build_trp": lambda: build_trp(dims, k, GAUSS, SeedSpec(0)),
-        "build_ensemble": lambda: build_ensemble(dims, k, GAUSS, T, SeedSpec(0)),
-        "build_conventional": lambda: build_conventional(
-            math.prod(dims), k, GAUSS, SeedSpec(0)
+        "build_trp": lambda: build_map("trp", dims, k, GAUSS, T, SeedSpec(0)),
+        "build_ensemble": lambda: build_map("trp_t", dims, k, GAUSS, T, SeedSpec(0)),
+        # The dense map on the one flattened mode, and below on dims as given.
+        "build_conventional": lambda: build_map(
+            "rp", (math.prod(dims),), k, GAUSS, T, SeedSpec(0)
         ),
         "build_map-rp": lambda: build_map("rp", dims, k, GAUSS, T, SeedSpec(0)),
         "squared_norm_samples": lambda: squared_norm_samples(
@@ -616,30 +663,30 @@ def test_one_shape_check_for_every_builder_and_sampler(name, bad):
 
 
 def test_a_bool_dim_is_not_a_size():
-    # True used to pass as 1: build_trp((True, 3), ...) built dims (1, 3).
+    # True used to pass as 1: a trp on dims (True, 3) was built on dims (1, 3).
     with pytest.raises(ValueError, match=r"^dims must be integers, got \(True, 3\)$"):
-        build_trp((True, 3), 2, GAUSS, SeedSpec(0))
+        build_map("trp", (True, 3), 2, GAUSS, 1, SeedSpec(0))
 
 
 def test_shape_check_takes_numpy_integers_and_each_dense_dim():
     dims = (np.int64(2), np.int64(3))
-    assert build_trp(dims, np.int64(2), GAUSS, SeedSpec(0)).dims == (2, 3)
+    assert build_map("trp", dims, np.int64(2), GAUSS, np.int64(1), SeedSpec(0)).dims == (2, 3)
     # Two negative dims have a positive product; the dense map checks each.
     with pytest.raises(ValueError, match="dims must be positive"):
         build_map("rp", (-2, -3), 2, GAUSS, 1, SeedSpec(0))
 
 
 def test_conventional_rp_applies_scaled_matrix():
-    rp = build_conventional(10, 4, GAUSS, SeedSpec(13))
+    rp = build_map("rp", (10,), 4, GAUSS, 1, SeedSpec(13))
     x = np.random.default_rng(2).standard_normal(10)
     assert_allclose(rp.apply(x), rp.matrix.T @ x / 2.0, atol=1e-14)
-    with pytest.raises(ValueError):
-        build_conventional(0, 4, GAUSS, SeedSpec(0))
+    with pytest.raises(ValueError, match=r"^dims must be positive, got \(0,\)$"):
+        build_map("rp", (0,), 4, GAUSS, 1, SeedSpec(0))
 
 
 @pytest.mark.parametrize("dist", [GAUSS, SPARSE], ids=["gaussian", "sparse"])
 def test_conventional_rp_is_a_one_factor_trp(dist):
-    rp = build_conventional(30, 6, dist, SeedSpec(16))
+    rp = build_map("rp", (30,), 6, dist, 1, SeedSpec(16))
     assert isinstance(rp, TensorRandomProjection)
     assert rp.factors == (rp.matrix,) and rp.dists == (dist,)
     assert rp.dims == (30,) and (rp.d, rp.k) == (30, 6)
@@ -672,16 +719,27 @@ def test_build_map_kinds():
     assert ens.T == 4
 
 
+def _drawn_factors(shapes, seed):
+    """The factors a map of these shapes draws from ``seed``: in order, one stream."""
+    rng = seed.generator()
+    return [_sample_array(SPARSE, shape, rng) for shape in shapes]
+
+
 def test_build_map_is_its_kind_builder_on_the_same_seed():
+    # Each kind's draw is its stream layout: the dense map one (d, k) draw,
+    # a TRP its factors in mode order, an ensemble replicate t a TRP on
+    # child t.  T shapes only the ensemble.
     seed = SeedSpec(15).child(2)
     dense = build_map("rp", (3, 4), 5, SPARSE, 7, seed)
-    assert_array_equal(dense.matrix, build_conventional(12, 5, SPARSE, seed).matrix)
+    assert_array_equal(dense.matrix, _drawn_factors([(12, 5)], seed)[0])
     trp = build_map("trp", (3, 4), 5, SPARSE, 7, seed)
-    for got, want in zip(trp.factors, build_trp((3, 4), 5, SPARSE, seed).factors):
+    for got, want in zip(trp.factors, _drawn_factors([(3, 5), (4, 5)], seed), strict=True):
         assert_array_equal(got, want)
     ens = build_map("trp_t", (3, 4), 5, SPARSE, 2, seed)
-    for got, want in zip(ens.replicates, build_ensemble((3, 4), 5, SPARSE, 2, seed).replicates):
-        for a, b in zip(got.factors, want.factors):
+    assert ens.T == 2
+    for t, rep in enumerate(ens.replicates):
+        want = _drawn_factors([(3, 5), (4, 5)], seed.child(t))
+        for a, b in zip(rep.factors, want, strict=True):
             assert_array_equal(a, b)
 
 
@@ -694,7 +752,7 @@ def test_one_factor_trp_is_the_dense_map_of_the_same_seed(dist):
     x = np.random.default_rng(16).standard_normal((4, 30))
     for i in range(20):
         seed = SeedSpec(16).child(i)
-        trp, rp = build_trp((30,), 6, dist, seed), build_conventional(30, 6, dist, seed)
+        trp, rp = (build_map(kind, (30,), 6, dist, 1, seed) for kind in ("trp", "rp"))
         assert_array_equal(trp.factors[0], rp.matrix)
         assert_array_equal(trp(x), rp(x))
 
@@ -704,6 +762,9 @@ def test_build_map_rejects_bad_requests():
         build_map("rp", (3, 3), 2, (GAUSS, GAUSS), 1, SeedSpec(0))
     with pytest.raises(ValueError, match="unknown map kind"):
         build_map("dct", (3, 3), 2, GAUSS, 1, SeedSpec(0))
+    # The kind is checked first: a bad kind on bad sizes names the kind.
+    with pytest.raises(ValueError, match=r"^unknown map kind 'bogus'"):
+        build_map("bogus", (0,), 0, GAUSS, 0, SeedSpec(0))
 
 
 def test_factor_column_count_must_agree():

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import mode_n_unfold
 from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
 from tensorproj.linalg import qr_factor
-from tensorproj.maps import build_ensemble, build_trp
+from tensorproj.maps import build_map
 from tensorproj.sketch import (
     LowRank,
     RankDeficiencyWarning,
@@ -31,7 +31,7 @@ def rank_limited(rng, rows, cols, rank):
 def test_exact_rank_matrix_is_recovered():
     rng = np.random.default_rng(0)
     x = rank_limited(rng, 30, 12, 3)
-    omega = build_trp((4, 3), 5, GAUSS, SeedSpec(1))
+    omega = build_map("trp", (4, 3), 5, GAUSS, 1, SeedSpec(1))
     with pytest.warns(RankDeficiencyWarning):
         approx = low_rank_approx(x, omega)
     assert relative_error(x, approx) <= 1e-8
@@ -40,14 +40,14 @@ def test_exact_rank_matrix_is_recovered():
 def test_full_sketch_reproduces_the_matrix():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((6, 6))
-    omega = build_trp((3, 2), 6, GAUSS, SeedSpec(3))
+    omega = build_map("trp", (3, 2), 6, GAUSS, 1, SeedSpec(3))
     assert_allclose(low_rank_approx(x, omega).dense(), x, atol=1e-10)
 
 
 def test_structured_sketch_equals_materialized_sketch():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((30, 40))
-    trp = build_trp((5, 8), 7, GAUSS, SeedSpec(5))
+    trp = build_map("trp", (5, 8), 7, GAUSS, 1, SeedSpec(5))
     dense = trp.materialize()
     direct = low_rank_approx(x, lambda p: p @ dense / np.sqrt(7)).dense()
     structured = low_rank_approx(x, trp).dense()
@@ -57,7 +57,7 @@ def test_structured_sketch_equals_materialized_sketch():
 def test_rank_deficient_sketch_warns_and_proceeds():
     rng = np.random.default_rng(6)
     x = np.outer(rng.standard_normal(15), rng.standard_normal(8))
-    omega = build_trp((4, 2), 4, GAUSS, SeedSpec(7))
+    omega = build_map("trp", (4, 2), 4, GAUSS, 1, SeedSpec(7))
     with pytest.warns(RankDeficiencyWarning, match="effective rank 1"):
         approx = low_rank_approx(x, omega)
     assert relative_error(x, approx) <= 1e-8
@@ -69,7 +69,7 @@ def test_sketch_builders_warn_at_the_caller_and_name_the_shape(builder):
     # them, and refuse a non-matrix X by its shape, naming neither builder.
     rng = np.random.default_rng(6)
     x = np.outer(rng.standard_normal(15), rng.standard_normal(8))
-    ensemble = build_ensemble((4, 2), 4, GAUSS, 2, SeedSpec(7))
+    ensemble = build_map("trp_t", (4, 2), 4, GAUSS, 2, SeedSpec(7))
     omega = ensemble if builder is averaged_low_rank_approx else ensemble.replicates[0]
     with pytest.warns(RankDeficiencyWarning, match="effective rank 1") as caught:
         builder(x, omega)
@@ -79,12 +79,12 @@ def test_sketch_builders_warn_at_the_caller_and_name_the_shape(builder):
 
 
 def test_low_rank_approx_validation():
-    omega = build_trp((2, 2), 2, GAUSS, SeedSpec(0))
+    omega = build_map("trp", (2, 2), 2, GAUSS, 1, SeedSpec(0))
     with pytest.raises(ValueError, match=r"X must be a matrix, got shape \(4,\)"):
         low_rank_approx(np.ones(4), omega)
     with pytest.raises(ValueError, match="one row per point"):
         low_rank_approx(np.ones((5, 4)), lambda p: p[:3])
-    big = build_trp((2, 2), 9, GAUSS, SeedSpec(0))
+    big = build_map("trp", (2, 2), 9, GAUSS, 1, SeedSpec(0))
     with pytest.raises(ValueError, match="exceeds row count"):
         low_rank_approx(np.ones((5, 4)), big)
 
@@ -100,14 +100,14 @@ def test_approximation_never_beats_the_trivial_bound():
     rng = np.random.default_rng(8)
     for seed in range(5):
         x = rng.standard_normal((20, 12))
-        omega = build_trp((4, 3), 3, GAUSS, SeedSpec(seed))
+        omega = build_map("trp", (4, 3), 3, GAUSS, 1, SeedSpec(seed))
         assert relative_error(x, low_rank_approx(x, omega)) <= 1.0 + 1e-12
 
 
 def test_projection_is_idempotent():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((18, 10))
-    omega = build_trp((5, 2), 4, GAUSS, SeedSpec(10))
+    omega = build_map("trp", (5, 2), 4, GAUSS, 1, SeedSpec(10))
     q = qr_factor(np.asarray(omega(x))).q
     once = q @ (q.T @ x)
     twice = q @ (q.T @ once)
@@ -117,8 +117,8 @@ def test_projection_is_idempotent():
 def test_averaging_one_replicate_matches_single_sketch():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((14, 6))
-    ensemble = build_ensemble((3, 2), 4, GAUSS, 1, SeedSpec(12))
-    omega = build_trp((3, 2), 4, GAUSS, SeedSpec(12).child(0))
+    ensemble = build_map("trp_t", (3, 2), 4, GAUSS, 1, SeedSpec(12))
+    omega = build_map("trp", (3, 2), 4, GAUSS, 1, SeedSpec(12).child(0))
     averaged = averaged_low_rank_approx(x, ensemble)
     single = low_rank_approx(x, omega)
     assert_array_equal(averaged.q, single.q)
@@ -128,7 +128,7 @@ def test_averaging_one_replicate_matches_single_sketch():
 
 def test_averaging_is_the_mean_over_the_ensemble_replicates():
     x = np.random.default_rng(23).standard_normal((16, 12))
-    ensemble = build_ensemble((4, 3), 3, GAUSS, 4, SeedSpec(24))
+    ensemble = build_map("trp_t", (4, 3), 3, GAUSS, 4, SeedSpec(24))
     approxs = [low_rank_approx(x, rep) for rep in ensemble.replicates]
     averaged = averaged_low_rank_approx(x, ensemble)
     assert_array_equal(averaged.q, np.hstack([a.q for a in approxs]))
@@ -141,7 +141,7 @@ def test_averaging_is_the_mean_over_the_ensemble_replicates():
 def test_averaging_preserves_exact_recovery():
     rng = np.random.default_rng(13)
     x = rank_limited(rng, 25, 12, 3)
-    ensemble = build_ensemble((4, 3), 5, GAUSS, 3, SeedSpec(14))
+    ensemble = build_map("trp_t", (4, 3), 5, GAUSS, 3, SeedSpec(14))
     # sketching a rank-3 matrix with k=5 is rank deficient by construction
     with pytest.warns(RankDeficiencyWarning):
         approx = averaged_low_rank_approx(x, ensemble)
@@ -151,14 +151,14 @@ def test_averaging_preserves_exact_recovery():
 def test_averaged_rank_is_bounded_by_t_times_k():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((12, 12))
-    ensemble = build_ensemble((4, 3), 2, GAUSS, 3, SeedSpec(16))
+    ensemble = build_map("trp_t", (4, 3), 2, GAUSS, 3, SeedSpec(16))
     approx = averaged_low_rank_approx(x, ensemble)
     assert approx.q.shape == (12, 6)
     assert np.linalg.matrix_rank(approx.dense()) <= 6
 
 
 def test_averaged_low_rank_validation():
-    ensemble = build_ensemble((3, 2), 2, GAUSS, 2, SeedSpec(0))
+    ensemble = build_map("trp_t", (3, 2), 2, GAUSS, 2, SeedSpec(0))
     with pytest.raises(ValueError, match=r"X must be a matrix, got shape \(6,\)"):
         averaged_low_rank_approx(np.ones(6), ensemble)
     with pytest.raises(ValueError, match="input has 7 entries, map expects 6"):
@@ -294,7 +294,7 @@ def noisy_low_rank(seed, rows=40, cols=48, rank=4, noise=0.05):
 def test_factored_error_matches_the_dense_residual(dist, T):
     x = noisy_low_rank(25)
     for seed in range(4):
-        ensemble = build_ensemble((6, 8), 6, dist, T, SeedSpec(seed))
+        ensemble = build_map("trp_t", (6, 8), 6, dist, T, SeedSpec(seed))
         for approx in (
             averaged_low_rank_approx(x, ensemble),
             low_rank_approx(x, ensemble.replicates[0]),
@@ -319,7 +319,7 @@ def test_near_exact_factored_error_falls_back_to_the_dense_residual():
     # only a few of its digits.
     x = noisy_low_rank(28, noise=1e-7)
     for T in (1, 5):
-        approx = averaged_low_rank_approx(x, build_ensemble((6, 8), 6, GAUSS, T, SeedSpec(29)))
+        approx = averaged_low_rank_approx(x, build_map("trp_t", (6, 8), 6, GAUSS, T, SeedSpec(29)))
         want = dense_error(x, approx)
         assert want < 1e-6
         assert relative_error(x, approx) == pytest.approx(want, rel=1e-10)
@@ -345,7 +345,7 @@ def test_scoring_another_x_forms_its_own_projection():
     # The builders keep Q^T X of the X they projected; an equal copy or a
     # different X of the same shape must not be scored with it.
     x, other = noisy_low_rank(34), noisy_low_rank(35)
-    ensemble = build_ensemble((6, 8), 6, GAUSS, 5, SeedSpec(36))
+    ensemble = build_map("trp_t", (6, 8), 6, GAUSS, 5, SeedSpec(36))
     for approx in (
         low_rank_approx(x, ensemble.replicates[0]),
         averaged_low_rank_approx(x, ensemble),
@@ -360,7 +360,7 @@ def test_a_replaced_basis_is_scored_with_a_fresh_projection():
     # replace() used to carry the builder's Q^T X over to the new basis, and
     # relative_error then scored the old projection against it.
     x = noisy_low_rank(39)
-    ensemble = build_ensemble((6, 8), 6, GAUSS, 5, SeedSpec(40))
+    ensemble = build_map("trp_t", (6, 8), 6, GAUSS, 5, SeedSpec(40))
     rng = np.random.default_rng(41)
     for approx in (
         low_rank_approx(x, ensemble.replicates[0]),
@@ -396,7 +396,7 @@ def counting_matmuls(x):
 
 def test_each_sketch_forms_one_projection_of_x():
     x = counting_matmuls(noisy_low_rank(37))
-    ensemble = build_ensemble((6, 8), 6, GAUSS, 5, SeedSpec(38))
+    ensemble = build_map("trp_t", (6, 8), 6, GAUSS, 5, SeedSpec(38))
     for build in (
         lambda: low_rank_approx(x, ensemble.replicates[0]),
         lambda: averaged_low_rank_approx(x, ensemble),
@@ -412,7 +412,7 @@ def test_each_sketch_forms_one_projection_of_x():
 
 def test_averaging_warns_once_per_rank_deficient_replicate():
     x = np.random.default_rng(34).standard_normal((20, 12))
-    ensemble = build_ensemble((4, 3), 4, very_sparse_family((4, 3)), 5, SeedSpec(4))
+    ensemble = build_map("trp_t", (4, 3), 4, very_sparse_family((4, 3)), 5, SeedSpec(4))
 
     def messages(fn):
         with warnings.catch_warnings(record=True) as caught:
@@ -430,7 +430,7 @@ def test_averaging_warns_once_per_rank_deficient_replicate():
 
 def test_factored_scoring_allocates_less_than_one_dense_matrix():
     x = np.random.default_rng(32).standard_normal((1000, 1000))
-    ensemble = build_ensemble((10, 10, 10), 25, GAUSS, 5, SeedSpec(33))
+    ensemble = build_map("trp_t", (10, 10, 10), 25, GAUSS, 5, SeedSpec(33))
     tracemalloc.start()
     try:
         relative_error(x, averaged_low_rank_approx(x, ensemble))

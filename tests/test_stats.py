@@ -20,7 +20,7 @@ from tensorproj.distributions import (
     very_sparse_family,
 )
 from tensorproj.linalg import qr_factor
-from tensorproj.maps import build_ensemble, build_map, build_trp
+from tensorproj.maps import build_map
 from tensorproj.stats import (
     _BLOCK_SCRATCH,
     _contract_all,
@@ -325,7 +325,7 @@ CONTRACT_DISTS = {
 def test_contract_kernel_matches_materialized_maps(dims, dist, m):
     # The sampler's batch of m maps goes through the same kernel as apply;
     # each slice must equal x times that map's materialized Khatri-Rao matrix.
-    maps = [build_trp(dims, 3, dist(dims), SeedSpec(9).child(i)) for i in range(m)]
+    maps = [build_map("trp", dims, 3, dist(dims), 1, SeedSpec(9).child(i)) for i in range(m)]
     factors = [np.stack([trp.factors[n] for trp in maps]) for n in range(len(dims))]
     x = np.random.default_rng(m).standard_normal(maps[0].d)
     z = _contract_all(x, factors)
@@ -729,7 +729,7 @@ def test_factory_estimators_reduce_the_per_map_draws():
     # with map i built from child stream i.
     x = np.random.default_rng(42).standard_normal(6)
     seed = SeedSpec(43)
-    draws = [float(y @ y) for y in (build_ensemble((3, 2), 4, SPARSE, 2, seed.child(i))(x)
+    draws = [float(y @ y) for y in (build_map("trp_t", (3, 2), 4, SPARSE, 2, seed.child(i))(x)
                                     for i in range(300))]
     x_sq = float(x @ x)
     hits = sum(abs(w - x_sq) >= 0.3 * x_sq for w in draws)
@@ -756,7 +756,7 @@ def test_polarization_identity_holds_for_every_map_kind(kind):
 
 def test_polarization_degenerate_pairs():
     # y = x exercises f(2x) and f(0); y = -x the reverse
-    trp = build_trp((3, 3), 4, GAUSS, SeedSpec(52))
+    trp = build_map("trp", (3, 3), 4, GAUSS, 1, SeedSpec(52))
     x = np.random.default_rng(53).standard_normal(9)
     assert polarization_check(trp, x, x) <= 1e-10 * 4 * float(x @ x)
     assert polarization_check(trp, x, -x) <= 1e-10 * 4 * float(x @ x)
