@@ -15,7 +15,6 @@ from .stats import (
 from .sketch import (
     LowRank,
     RankDeficiencyWarning,
-    averaged_low_rank_approx,
     low_rank_approx,
     relative_error,
     tucker_synthetic,
@@ -44,7 +43,6 @@ __all__ = [
     "SeedSpec",
     "TensorRandomProjection",
     "TrpEnsemble",
-    "averaged_low_rank_approx",
     "build_map",
     "cosine_similarity_rmse",
     "exact_variance",

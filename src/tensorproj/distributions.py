@@ -13,13 +13,12 @@ cross-language bit-exactness promise.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import _check_sizes
+from .linalg import _check_real, _check_sizes
 
 GAUSSIAN_FOURTH_MOMENT = 3.0
 
@@ -40,8 +39,7 @@ class EntryDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "sparse_sign"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if isinstance(self.delta, bool) or not isinstance(self.delta, numbers.Real):
-            raise ValueError(f"delta must be a real number, got {self.delta!r}")
+        _check_real("delta", self.delta)
         if self.kind == "gaussian" and self.delta != 1.0:
             raise ValueError("gaussian entries have no sparsity parameter")
         if not 0.0 < self.delta <= 1.0:

@@ -22,11 +22,11 @@ points, the sketch target, or for variance e_1 on its one-entry support.
 in blocks, maps on dims ``(1, ..., 1)`` with the entry distributions of the
 full dims: the same law, without drawing the rows e_1 never reads.  Every
 other run scores one stream of maps built one at a time by
-:func:`tensorproj.maps.build_map`, with one estimator call (or one sketch
-per map) that returns one value per map.  Runs are deterministic functions
-of the config: the base seed fans out per data source, map kind, k and
-replication, so at a fixed BLAS build and thread count the written CSV is
-byte-identical across runs.
+:func:`tensorproj.maps.build_map`, with one estimator call (or one
+``low_rank_approx`` per map, of any kind) that returns one value per map.
+Runs are deterministic functions of the config: the base seed fans out per
+data source, map kind, k and replication, so at a fixed BLAS build and
+thread count the written CSV is byte-identical across runs.
 
 CSV format: header ``experiment,map,dist,d,dims,k,T,rep,metric,value,stderr``,
 dims rendered as ``d1xd2x...``, floats with 17 significant digits (lossless
@@ -50,7 +50,7 @@ from .data import gen_synthetic, load_mnist
 from .distributions import EntryDistribution, SeedSpec, very_sparse_family
 from .linalg import _check_sizes
 from .maps import MAP_KINDS, build_map
-from .sketch import averaged_low_rank_approx, low_rank_approx, relative_error, tucker_synthetic
+from .sketch import low_rank_approx, relative_error, tucker_synthetic
 from .stats import cosine_similarity_rmse, pairwise_distance_ratio, squared_norm_samples
 
 EXPERIMENTS = ("distance", "cosine", "variance", "sketch")
@@ -236,10 +236,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
         metric, values = "rmse", cosine_similarity_rmse(data, maps).per_rep.tolist()
     else:
         metric = "relative_error"
-        sketches = (averaged_low_rank_approx if kind == "trp_t" else low_rank_approx
-                    for kind, *_ in cells for _ in reps)
-        values = list(map(lambda sketch, omega: relative_error(data, sketch(data, omega)),
-                          sketches, maps))
+        values = list(map(lambda omega: relative_error(data, low_rank_approx(data, omega)), maps))
     # values and spreads hold one entry per draw, in draw order.
     values, spreads, d, dims = iter(values), iter(spreads), cfg.d, tuple(cfg.dims)
     return [

@@ -3,7 +3,8 @@
 Every module sits on this one, so it owns the input policy: arrays are real
 (:func:`_as_real`) and finite (:func:`_check_finite`), and sizes positive
 integers (:func:`_check_sizes`, through :func:`_check_shape` for dims, k and
-T).  Callers add only their own shapes.  A map calls :func:`_check_finite`
+T), and float parameters real numbers (:func:`_check_real`).  Callers add
+only their own shapes and ranges.  A map calls :func:`_check_finite`
 on its input only when its kernel's output is not finite (see
 :mod:`tensorproj.maps`), so finite input is read once.
 
@@ -24,6 +25,7 @@ code, so keep it in one place.
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -48,6 +50,19 @@ def _check_sizes(**sizes: object) -> None:
             raise ValueError(f"{name} must be {'integers' if many else 'an integer'}, got {value!r}")
         if not values or min(values) < 1:
             raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _check_real(name: str, value: object) -> None:
+    """The one check of every float parameter; the message names it.
+
+    ``value``, or each entry of a tuple ``value``, is a ``numbers.Real``
+    (numpy's real scalars included) and not a ``bool``: a string, ``None``,
+    a complex number or a list is refused before any arithmetic meets it.
+    """
+    many = isinstance(value, tuple)
+    values = value if many else (value,)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{name} must be {'real numbers' if many else 'a real number'}, got {value!r}")
 
 
 def _check_shape(dims: Sequence[int], k: int, T: int = 1) -> tuple[int, ...]:

@@ -3,11 +3,11 @@
 The range-finder recipe: sketch ``Z = X @ Omega`` (here, apply the projection
 map to each row of ``X``), orthonormalize ``Q = qr(Z)``, and return the
 projected approximation ``Q Q^T X`` in factored form, ``LowRank(Q, Q^T X)``;
-``.dense()`` forms the m x n matrix when it is wanted.  Averaging the
-approximations of the T replicates of a :class:`~tensorproj.maps.TrpEnsemble`
-trades a factor T of work for a variance reduction that matches the
-ensemble's own; the mean stays factored too, and its T bases are projected
-with one ``Q^T X`` over all Tk columns.  :func:`relative_error` scores a
+``.dense()`` forms the m x n matrix when it is wanted.  :func:`low_rank_approx`
+takes any map; for a :class:`~tensorproj.maps.TrpEnsemble` it averages the T
+replicates' approximations, trading a factor T of work for the ensemble's
+variance reduction.  The mean stays factored too, and its T bases are
+projected with one ``Q^T X`` over all Tk columns.  :func:`relative_error` scores a
 factored approximation from ``||X||^2``, ``Q^T X`` and the small Gram terms
 ``Q^T Q`` and ``B``, with no m x n product.  Each sketch forms ``Q^T X``
 once: an approximation returned by a builder and scored against the same X
@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import SeedSpec
-from .linalg import _as_real, _check_finite, _check_sizes, qr_factor
+from .linalg import _as_real, _check_finite, _check_real, _check_sizes, qr_factor
 from .maps import TrpEnsemble
 from .stats import Projection, _project
 
@@ -83,7 +83,7 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _range_basis(x: np.ndarray, omega: Projection) -> np.ndarray:
+def _range_basis(x: np.ndarray, omega: Projection, stacklevel: int = 3) -> np.ndarray:
     """Orthonormal basis Q of one sketch Z = omega(rows of X); warns if Z is rank deficient."""
     z = _project(omega, x)
     if z.shape[1] > x.shape[0]:
@@ -95,7 +95,7 @@ def _range_basis(x: np.ndarray, omega: Projection) -> np.ndarray:
         warnings.warn(
             f"sketch has effective rank {rank} < {z.shape[1]}",
             RankDeficiencyWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return q
 
@@ -103,10 +103,14 @@ def _range_basis(x: np.ndarray, omega: Projection) -> np.ndarray:
 def low_rank_approx(x: np.ndarray, omega: Projection) -> LowRank:
     """Rank-<=k approximation ``LowRank(Q, Q^T X)`` from one sketch Z = omega(rows of X).
 
-    A rank-deficient sketch is not an error: the computation proceeds with
-    the directions that exist and a :class:`RankDeficiencyWarning` reports
-    the effective rank.
+    A :class:`~tensorproj.maps.TrpEnsemble` gets the mean of its T replicates'
+    approximations (:func:`averaged_low_rank_approx`); ``ensemble.apply``
+    gets the one k-column sketch of the summed map.  A rank-deficient sketch
+    is not an error: the computation proceeds with the directions that exist
+    and a :class:`RankDeficiencyWarning` reports the effective rank.
     """
+    if isinstance(omega, TrpEnsemble):
+        return averaged_low_rank_approx(x, omega)
     x = _as_matrix(x)
     q = _range_basis(x, omega)
     qtx = q.T @ x
@@ -114,7 +118,7 @@ def low_rank_approx(x: np.ndarray, omega: Projection) -> LowRank:
 
 
 def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> LowRank:
-    """Mean of the sketched approximations of the ensemble's T replicates.
+    """:func:`low_rank_approx`'s ensemble step: the mean over the T replicates.
 
     A plain 1/T average of :func:`low_rank_approx` with each replicate, kept
     factored: the T bases side by side (m x Tk) times the T coefficient
@@ -125,11 +129,11 @@ def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> LowRank:
     matrices across replicates are independent.
     """
     x = _as_matrix(x)
-    # A loop, not a comprehension, whose own frame (Python < 3.12) would
-    # stand in for the caller in a RankDeficiencyWarning.
+    # A loop, not a comprehension, whose own frame (Python < 3.12) would take
+    # the place of low_rank_approx's caller, where stacklevel 4 points.
     bases = []
     for omega in ensemble.replicates:
-        bases.append(_range_basis(x, omega))
+        bases.append(_range_basis(x, omega, stacklevel=4))
     q = np.hstack(bases)
     qtx = q.T @ x
     return _built(q, qtx / ensemble.T, x, qtx)
@@ -170,8 +174,7 @@ def tucker_synthetic(
             f"core rank must lie in 1..{side} (the side length), got {core_rank}"
         )
     _check_sizes(core_rank=core_rank)
-    if isinstance(noise_fraction, (bool, np.bool_)):
-        raise ValueError(f"noise fraction must be a real number, got {noise_fraction!r}")
+    _check_real("noise fraction", noise_fraction)
     if not 0.0 <= noise_fraction < math.inf:
         raise ValueError(
             f"noise fraction must be finite and non-negative, got {noise_fraction}"

@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .distributions import EntryDistribution, SeedSpec, _per_factor, _sample_array
-from .linalg import _as_real, _check_finite, _check_shape, _check_sizes
+from .linalg import _as_real, _check_finite, _check_real, _check_shape, _check_sizes
 from .maps import _contract
 
 Projection = Callable[[np.ndarray], np.ndarray]
@@ -93,7 +93,10 @@ def _check_input(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_moments(fourth_moments: Sequence[float]) -> list[float]:
-    moments = [float(m) for m in fourth_moments]
+    # A 0-d array stands for its one entry.
+    moments = tuple(m[()] if isinstance(m, np.ndarray) else m for m in fourth_moments)
+    _check_real("fourth moments", moments)
+    moments = [float(m) for m in moments]
     if not moments:
         raise ValueError("need at least one factor fourth moment")
     if not all(math.isfinite(m) for m in moments):

@@ -18,12 +18,7 @@ from tensorproj.data import gen_synthetic, load_mnist
 from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
 from tensorproj.experiments import ExperimentConfig, run_experiment
 from tensorproj.maps import build_map
-from tensorproj.sketch import (
-    averaged_low_rank_approx,
-    low_rank_approx,
-    relative_error,
-    tucker_synthetic,
-)
+from tensorproj.sketch import low_rank_approx, relative_error, tucker_synthetic
 from tensorproj.stats import (
     cosine_similarity_rmse,
     exact_variance,
@@ -325,13 +320,10 @@ def test_criterion_10_sketching_error_decays_and_averaging_helps():
             for ki, k in enumerate(ks):
                 seed = base.child(1).child(s).child(ki)
                 if kind == "trp_t":
-                    approx = averaged_low_rank_approx(
-                        target, build_map("trp_t", (30, 30), k, GAUSS, 5, seed)
-                    )
+                    omega = build_map("trp_t", (30, 30), k, GAUSS, 5, seed)
                 else:
                     omega = build_map(kind, dims, k, GAUSS, 1, seed.child(0))
-                    approx = low_rank_approx(target, omega)
-                errs[kind][k].append(relative_error(target, approx))
+                errs[kind][k].append(relative_error(target, low_rank_approx(target, omega)))
     ok = True
     details = []
     for kind in ("rp", "trp", "trp_t"):

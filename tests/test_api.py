@@ -20,7 +20,9 @@ def test_removed_public_names_stay_removed():
     # computed inside pairwise_distance_ratio, once for all its maps.
     # build_trp, build_ensemble and build_conventional are build_map's
     # per-kind draw steps, left in tensorproj.maps: build_map checks a map's
-    # sizes once and is the one public builder.
+    # sizes once and is the one public builder.  averaged_low_rank_approx is
+    # low_rank_approx's ensemble step, left in tensorproj.sketch:
+    # low_rank_approx takes any map, ensembles included.
     removed = (
         "make_factory",
         "empirical_isometry",
@@ -37,6 +39,7 @@ def test_removed_public_names_stay_removed():
         "build_trp",
         "build_ensemble",
         "build_conventional",
+        "averaged_low_rank_approx",
     )
     for name in removed:
         assert name not in tensorproj.__all__

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -49,6 +50,12 @@ def test_delta_refuses_a_string():
     # "0.5" used to reach the interval check and fail with a bare TypeError.
     with pytest.raises(ValueError, match="delta must be a real number, got '0.5'"):
         EntryDistribution("sparse_sign", "0.5")
+    # The same rule as every float parameter's (linalg._check_real).
+    for bad in (None, 1j, [0.5], np.complex128(0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="delta must be a real number, got "):
+                EntryDistribution("sparse_sign", bad)
 
 
 def test_fourth_moments():

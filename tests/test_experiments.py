@@ -22,12 +22,7 @@ from tensorproj.experiments import (
     write_csv,
 )
 from tensorproj.maps import build_map
-from tensorproj.sketch import (
-    averaged_low_rank_approx,
-    low_rank_approx,
-    relative_error,
-    tucker_synthetic,
-)
+from tensorproj.sketch import low_rank_approx, relative_error, tucker_synthetic
 
 
 def make_config(**overrides):
@@ -293,15 +288,12 @@ def test_order_3_sketch_records_equal_a_direct_library_computation():
             for rep in range(2):
                 seed = base.child(1).child(kind_idx).child(k_idx).child(rep)
                 if kind == "trp_t":
-                    ensemble = build_map("trp_t", (6, 6), k, gauss, 2, seed)
-                    approx = averaged_low_rank_approx(target, ensemble)
+                    omega = build_map("trp_t", (6, 6), k, gauss, 2, seed)
+                elif kind == "rp":
+                    omega = build_map("rp", (36,), k, gauss, 1, seed)
                 else:
-                    if kind == "rp":
-                        omega = build_map("rp", (36,), k, gauss, 1, seed)
-                    else:
-                        omega = build_map("trp", (6, 6), k, gauss, 1, seed)
-                    approx = low_rank_approx(target, omega)
-                want.append(relative_error(target, approx))
+                    omega = build_map("trp", (6, 6), k, gauss, 1, seed)
+                want.append(relative_error(target, low_rank_approx(target, omega)))
     records = run_experiment(cfg)
     assert [(r.map_kind, r.k, r.rep, r.d, r.dims) for r in records] == [
         (kind, k, rep, 36, (6, 6)) for kind in ("rp", "trp", "trp_t") for k in (2, 5)

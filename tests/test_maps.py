@@ -23,7 +23,6 @@ from tensorproj.maps import (
 from tensorproj.sketch import (
     LowRank,
     _multi_mode_product,
-    averaged_low_rank_approx,
     low_rank_approx,
     relative_error,
 )
@@ -232,7 +231,7 @@ COMPLEX_CALLS = {
     ),
     "low_rank_approx": lambda: low_rank_approx(_MC, BOUNDARY_MAPS["trp"]()),
     "low_rank_approx-sketch": lambda: low_rank_approx(_M, lambda x: x[:, :2] * 1j),
-    "averaged_low_rank_approx": lambda: averaged_low_rank_approx(_MC, BOUNDARY_MAPS["ensemble"]()),
+    "averaged_low_rank_approx": lambda: low_rank_approx(_MC, BOUNDARY_MAPS["ensemble"]()),
     "relative_error": lambda: relative_error(_MC, _M),
     "relative_error-dense-approx": lambda: relative_error(_M, _MC),
     "relative_error-factored-approx": lambda: relative_error(
@@ -355,7 +354,7 @@ def test_finite_input_gets_no_validation_only_pass(monkeypatch):
         m.apply(x[0])
         m.apply(x)
     low_rank_approx(x, built[0])
-    averaged_low_rank_approx(x, built[3])
+    low_rank_approx(x, built[3])
     assert calls == []
 
 

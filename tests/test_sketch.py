@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import mode_n_unfold
+from tensorproj import sketch
 from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
 from tensorproj.linalg import qr_factor
 from tensorproj.maps import build_map
@@ -15,7 +16,6 @@ from tensorproj.sketch import (
     LowRank,
     RankDeficiencyWarning,
     _multi_mode_product,
-    averaged_low_rank_approx,
     low_rank_approx,
     relative_error,
     tucker_synthetic,
@@ -63,19 +63,21 @@ def test_rank_deficient_sketch_warns_and_proceeds():
     assert relative_error(x, approx) <= 1e-8
 
 
-@pytest.mark.parametrize("builder", [low_rank_approx, averaged_low_rank_approx])
-def test_sketch_builders_warn_at_the_caller_and_name_the_shape(builder):
-    # Both builders point a RankDeficiencyWarning at the line that called
-    # them, and refuse a non-matrix X by its shape, naming neither builder.
+@pytest.mark.parametrize("step", ["low_rank_approx", "averaged_low_rank_approx"])
+def test_sketch_builders_warn_at_the_caller_and_name_the_shape(step):
+    # A trp and an ensemble, which low_rank_approx hands to its ensemble
+    # step, both point a RankDeficiencyWarning at the line that called
+    # low_rank_approx, and refuse a non-matrix X by its shape, naming
+    # neither step.
     rng = np.random.default_rng(6)
     x = np.outer(rng.standard_normal(15), rng.standard_normal(8))
     ensemble = build_map("trp_t", (4, 2), 4, GAUSS, 2, SeedSpec(7))
-    omega = ensemble if builder is averaged_low_rank_approx else ensemble.replicates[0]
+    omega = ensemble if step == "averaged_low_rank_approx" else ensemble.replicates[0]
     with pytest.warns(RankDeficiencyWarning, match="effective rank 1") as caught:
-        builder(x, omega)
+        low_rank_approx(x, omega)
     assert [w.filename for w in caught] == [__file__] * len(caught)
     with pytest.raises(ValueError, match=r"^X must be a matrix, got shape \(8,\)$"):
-        builder(np.ones(8), omega)
+        low_rank_approx(np.ones(8), omega)
 
 
 def test_low_rank_approx_validation():
@@ -119,7 +121,7 @@ def test_averaging_one_replicate_matches_single_sketch():
     x = rng.standard_normal((14, 6))
     ensemble = build_map("trp_t", (3, 2), 4, GAUSS, 1, SeedSpec(12))
     omega = build_map("trp", (3, 2), 4, GAUSS, 1, SeedSpec(12).child(0))
-    averaged = averaged_low_rank_approx(x, ensemble)
+    averaged = low_rank_approx(x, ensemble)
     single = low_rank_approx(x, omega)
     assert_array_equal(averaged.q, single.q)
     assert_array_equal(averaged.b, single.b)
@@ -130,7 +132,7 @@ def test_averaging_is_the_mean_over_the_ensemble_replicates():
     x = np.random.default_rng(23).standard_normal((16, 12))
     ensemble = build_map("trp_t", (4, 3), 3, GAUSS, 4, SeedSpec(24))
     approxs = [low_rank_approx(x, rep) for rep in ensemble.replicates]
-    averaged = averaged_low_rank_approx(x, ensemble)
+    averaged = low_rank_approx(x, ensemble)
     assert_array_equal(averaged.q, np.hstack([a.q for a in approxs]))
     assert_array_equal(averaged.b, np.vstack([a.b for a in approxs]) / 4)
     assert_allclose(
@@ -144,7 +146,7 @@ def test_averaging_preserves_exact_recovery():
     ensemble = build_map("trp_t", (4, 3), 5, GAUSS, 3, SeedSpec(14))
     # sketching a rank-3 matrix with k=5 is rank deficient by construction
     with pytest.warns(RankDeficiencyWarning):
-        approx = averaged_low_rank_approx(x, ensemble)
+        approx = low_rank_approx(x, ensemble)
     assert relative_error(x, approx) <= 1e-8
 
 
@@ -152,7 +154,7 @@ def test_averaged_rank_is_bounded_by_t_times_k():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((12, 12))
     ensemble = build_map("trp_t", (4, 3), 2, GAUSS, 3, SeedSpec(16))
-    approx = averaged_low_rank_approx(x, ensemble)
+    approx = low_rank_approx(x, ensemble)
     assert approx.q.shape == (12, 6)
     assert np.linalg.matrix_rank(approx.dense()) <= 6
 
@@ -160,9 +162,40 @@ def test_averaged_rank_is_bounded_by_t_times_k():
 def test_averaged_low_rank_validation():
     ensemble = build_map("trp_t", (3, 2), 2, GAUSS, 2, SeedSpec(0))
     with pytest.raises(ValueError, match=r"X must be a matrix, got shape \(6,\)"):
-        averaged_low_rank_approx(np.ones(6), ensemble)
+        low_rank_approx(np.ones(6), ensemble)
     with pytest.raises(ValueError, match="input has 7 entries, map expects 6"):
-        averaged_low_rank_approx(np.ones((5, 7)), ensemble)
+        low_rank_approx(np.ones((5, 7)), ensemble)
+
+
+def test_an_ensemble_is_sketched_by_the_ensemble_step(monkeypatch):
+    # low_rank_approx hands an ensemble, and only an ensemble, to the module's
+    # averaged_low_rank_approx; ensemble.apply is a plain callable, the one
+    # k-column sketch of the summed map.
+    x = noisy_low_rank(42)
+    averaged = sketch.averaged_low_rank_approx
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return averaged(*args)
+
+    monkeypatch.setattr(sketch, "averaged_low_rank_approx", counted)
+    for T in (1, 4):
+        ensemble = build_map("trp_t", (6, 8), 6, GAUSS, T, SeedSpec(43))
+        approx = low_rank_approx(x, ensemble)
+        assert len(calls) == 1
+        want = averaged(x, ensemble)
+        assert_array_equal(approx.q, want.q)
+        assert_array_equal(approx.b, want.b)
+        calls.clear()
+        for omega in (
+            build_map("trp", (6, 8), 6, GAUSS, 1, SeedSpec(44)),
+            build_map("rp", (48,), 6, GAUSS, 1, SeedSpec(45)),
+            ensemble.apply,
+        ):
+            low_rank_approx(x, omega)
+        assert calls == []
+        assert low_rank_approx(x, ensemble.apply).q.shape == (40, 6)
 
 
 # -------------------------------------------------------------- tucker model
@@ -242,6 +275,12 @@ def test_tucker_synthetic_validation():
         tucker_synthetic(4, 2, 0, SeedSpec(0))
     with pytest.raises(ValueError, match="noise fraction"):
         tucker_synthetic(4, 2, 2, SeedSpec(0), noise_fraction=-0.01)
+    # Each used to fail with a bare TypeError, or run with a ComplexWarning.
+    for bad in (None, "0.1", 1j, [0.1], np.complex128(0.1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="noise fraction must be a real number, got "):
+                tucker_synthetic(4, 2, 2, SeedSpec(0), noise_fraction=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -296,7 +335,7 @@ def test_factored_error_matches_the_dense_residual(dist, T):
     for seed in range(4):
         ensemble = build_map("trp_t", (6, 8), 6, dist, T, SeedSpec(seed))
         for approx in (
-            averaged_low_rank_approx(x, ensemble),
+            low_rank_approx(x, ensemble),
             low_rank_approx(x, ensemble.replicates[0]),
         ):
             want = dense_error(x, approx)
@@ -319,7 +358,7 @@ def test_near_exact_factored_error_falls_back_to_the_dense_residual():
     # only a few of its digits.
     x = noisy_low_rank(28, noise=1e-7)
     for T in (1, 5):
-        approx = averaged_low_rank_approx(x, build_map("trp_t", (6, 8), 6, GAUSS, T, SeedSpec(29)))
+        approx = low_rank_approx(x, build_map("trp_t", (6, 8), 6, GAUSS, T, SeedSpec(29)))
         want = dense_error(x, approx)
         assert want < 1e-6
         assert relative_error(x, approx) == pytest.approx(want, rel=1e-10)
@@ -348,7 +387,7 @@ def test_scoring_another_x_forms_its_own_projection():
     ensemble = build_map("trp_t", (6, 8), 6, GAUSS, 5, SeedSpec(36))
     for approx in (
         low_rank_approx(x, ensemble.replicates[0]),
-        averaged_low_rank_approx(x, ensemble),
+        low_rank_approx(x, ensemble),
     ):
         for y in (x.copy(), other):
             want = np.linalg.norm(y - approx.dense()) / np.linalg.norm(y)
@@ -364,7 +403,7 @@ def test_a_replaced_basis_is_scored_with_a_fresh_projection():
     rng = np.random.default_rng(41)
     for approx in (
         low_rank_approx(x, ensemble.replicates[0]),
-        averaged_low_rank_approx(x, ensemble),
+        low_rank_approx(x, ensemble),
     ):
         moved = dataclasses.replace(approx, q=qr_factor(rng.standard_normal(approx.q.shape)).q)
         want = dense_error(x, moved)
@@ -399,7 +438,8 @@ def test_each_sketch_forms_one_projection_of_x():
     ensemble = build_map("trp_t", (6, 8), 6, GAUSS, 5, SeedSpec(38))
     for build in (
         lambda: low_rank_approx(x, ensemble.replicates[0]),
-        lambda: averaged_low_rank_approx(x, ensemble),
+        lambda: low_rank_approx(x, ensemble),
+        lambda: low_rank_approx(x, ensemble.apply),
     ):
         before = type(x).matmuls
         approx = build()
@@ -421,7 +461,7 @@ def test_averaging_warns_once_per_rank_deficient_replicate():
         assert all(w.category is RankDeficiencyWarning for w in caught)
         return [str(w.message) for w in caught]
 
-    got = messages(lambda: averaged_low_rank_approx(x, ensemble))
+    got = messages(lambda: low_rank_approx(x, ensemble))
     # Two of the five replicates are rank deficient; the other three warn nothing.
     assert got == ["sketch has effective rank 2 < 4"] * 2
     per_replicate = [messages(lambda: low_rank_approx(x, rep)) for rep in ensemble.replicates]
@@ -433,7 +473,7 @@ def test_factored_scoring_allocates_less_than_one_dense_matrix():
     ensemble = build_map("trp_t", (10, 10, 10), 25, GAUSS, 5, SeedSpec(33))
     tracemalloc.start()
     try:
-        relative_error(x, averaged_low_rank_approx(x, ensemble))
+        relative_error(x, low_rank_approx(x, ensemble))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

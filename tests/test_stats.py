@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import weakref
 from itertools import product
 
@@ -85,6 +86,15 @@ def test_variance_validation():
         theoretical_variance(x, [], 2)
     with pytest.raises(ValueError, match="impossible"):
         theoretical_variance(x, [0.5], 2)
+    # Each used to be converted by float(): "3" and True ran as 3 and 1, and
+    # a complex moment ran with a ComplexWarning.
+    for bad in ("3", True, np.complex128(3.0), None, 3j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="fourth moments must be real numbers, got "):
+                theoretical_variance(x, bad, 2)
+            with pytest.raises(ValueError, match="fourth moments must be real numbers, got "):
+                theoretical_variance(x, [3.0, bad], 2)
 
 
 @given(
@@ -265,6 +275,13 @@ def test_exact_variance_validation():
         exact_variance(x, (4, 2), [3.0, 0.5], 2)
     with pytest.raises(ValueError, match="got 3 fourth moments for 2 factors"):
         exact_variance(x, (4, 2), [3.0, 3.0, 3.0], 2)
+    for bad in ("3", True, np.complex128(3.0), None, 3j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="fourth moments must be real numbers, got "):
+                exact_variance(x, (4, 2), bad, 2)
+            with pytest.raises(ValueError, match="fourth moments must be real numbers, got "):
+                exact_variance(x, (4, 2), [3.0, bad], 2)
     with pytest.raises(ValueError, match="dims must be positive"):
         exact_variance(np.ones(0), (0, 2), 3.0, 2)
     with pytest.raises(ValueError, match="x has 7 entries, dims \\(4, 2\\) need 8"):
