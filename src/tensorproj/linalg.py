@@ -49,7 +49,7 @@ def _check_sizes(**sizes: object) -> None:
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
             raise ValueError(f"{name} must be {'integers' if many else 'an integer'}, got {value!r}")
         if not values or min(values) < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
+            raise ValueError(f"{name} must {'be positive' if values else 'not be empty'}, got {value}")
 
 
 def _check_real(name: str, value: object) -> None:

@@ -22,14 +22,15 @@ single coordinate, ``E z^4 = 3 ||x||_2^4 + (prod(m_i) - 3) ||x||_4^4``:
 
     Var ||f(x)||^2 ~ (prod(m_i) - 3) / (T*k) * ||x||_4^4  +  2/k * ||x||_2^4.
 
-For one dense Gaussian factor (N=1, m=3) the first term vanishes and the
-variance is exactly ``2/k * ||x||_2^4``.  The closed form is exact whenever
-N = 1, and for any N when x is supported on a single coordinate.  For
-N >= 2 and spread-out x it drops the fourth-order cross terms that grow with
-the per-mode row and column energies of x.  With every ``m_i >= 3``
-(Gaussian, and sparse-sign entries with delta <= 1/3) it is then a lower
-bound on the exact variance, strict for dense x; lighter-tailed entries
-such as Rademacher signs (m = 1) can put the exact variance below it.
+Both formulas take ``fourth_moments`` as an iterable of one real moment per
+factor, never a scalar.  For one dense Gaussian factor (``[3.0]``) the first
+term vanishes and the variance is exactly ``2/k * ||x||_2^4``.  The closed
+form is exact whenever N = 1, and for any N when x is supported on a single
+coordinate.  For N >= 2 and spread-out x it drops the fourth-order cross
+terms that grow with the per-mode row and column energies of x.  With every
+``m_i >= 3`` (Gaussian, and sparse-sign entries with delta <= 1/3) it is
+then a lower bound on the exact variance, strict for dense x; lighter-tailed
+entries such as Rademacher signs (m = 1) can put the exact variance below it.
 
 ``squared_norm_samples`` is a vectorized sampler that draws the same law as
 building maps one by one but batches the factor draws, which is what makes
@@ -66,6 +67,7 @@ from .linalg import _as_real, _check_finite, _check_real, _check_shape, _check_s
 from .maps import _contract
 
 Projection = Callable[[np.ndarray], np.ndarray]
+_MAX_EXACT_ORDER = 10  # exact_variance's 4^N loop takes 4x longer per order
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,12 @@ def _check_input(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return _check_finite(x)
 
 
-def _check_moments(fourth_moments: Sequence[float]) -> list[float]:
-    # A 0-d array stands for its one entry.
-    moments = tuple(m[()] if isinstance(m, np.ndarray) else m for m in fourth_moments)
+def _check_moments(fourth_moments: Iterable[float]) -> list[float]:
+    """``fourth_moments`` as floats: any iterable, read once, of one real moment per factor."""
+    try:
+        moments = tuple(fourth_moments)
+    except TypeError:
+        raise ValueError(f"fourth moments need one per factor, got {fourth_moments!r}") from None
     _check_real("fourth moments", moments)
     moments = [float(m) for m in moments]
     if not moments:
@@ -109,7 +114,7 @@ def _check_moments(fourth_moments: Sequence[float]) -> list[float]:
 
 def theoretical_variance(
     x: np.ndarray,
-    fourth_moments: float | Sequence[float],
+    fourth_moments: Iterable[float],
     k: int,
     T: int = 1,
 ) -> float:
@@ -119,16 +124,12 @@ def theoretical_variance(
     several factors and spread-out x, :func:`exact_variance` gives the true
     variance; with every fourth moment at least 3 this closed form is its
     lower bound (see the module docstring).
-
-    A scalar ``fourth_moments`` is one factor's moment (the dense map's),
-    while :func:`exact_variance` applies a scalar to every factor: for
-    ``e_1`` on dims (4, 2) with k = 10, 3.0 gives 0.2 here and 0.8 there.
     """
-    if np.ndim(fourth_moments) == 0:
-        fourth_moments = [fourth_moments]
     moments = _check_moments(fourth_moments)
     x = _check_finite(_as_real(x).ravel())
-    _check_shape((x.size,), k, T)
+    if not x.size:
+        raise ValueError("x must not be empty")
+    _check_sizes(k=k, T=T)
     norm4_4 = float(np.sum(x**4))
     norm2_4 = float(np.sum(x**2)) ** 2
     return (math.prod(moments) - 3.0) / (T * k) * norm4_4 + 2.0 / k * norm2_4
@@ -155,26 +156,25 @@ def _tied_sum(
 def exact_variance(
     x: np.ndarray,
     dims: Sequence[int],
-    fourth_moments: float | Sequence[float],
+    fourth_moments: Iterable[float],
     k: int,
     T: int = 1,
 ) -> float:
     """Exact Var ||f(x)||^2 for a Khatri-Rao map on ``dims``.
 
-    ``fourth_moments`` holds one fourth moment per factor; a scalar applies
-    to every factor, not to one as in :func:`theoretical_variance` (see
-    there).  Expands ``E z^4`` from the module docstring over the 4^N
-    per-mode choices of ``mu_n`` terms and evaluates each through
-    :func:`_tied_sum`; choices that differ only by relabeling the three
-    pairings share one contraction.  Equals :func:`theoretical_variance`
-    for one factor and for x on one coordinate axis; with every fourth
-    moment at least 3 it is at least as large otherwise.
+    Expands ``E z^4`` from the module docstring over the 4^N per-mode
+    choices of ``mu_n`` terms, so orders past ``_MAX_EXACT_ORDER`` are
+    refused before it starts, and evaluates each through :func:`_tied_sum`;
+    choices that differ only by relabeling the three pairings share one
+    contraction.  Equals :func:`theoretical_variance` for one factor and
+    for x on one coordinate axis; with every fourth moment at least 3 it is
+    at least as large otherwise.
     """
-    if np.ndim(fourth_moments) == 0:
-        fourth_moments = [fourth_moments] * len(dims)
     moments = _check_moments(fourth_moments)
     if len(moments) != len(dims):
         raise ValueError(f"got {len(moments)} fourth moments for {len(dims)} factors")
+    if len(dims) > _MAX_EXACT_ORDER:
+        raise ValueError(f"exact variance takes order at most {_MAX_EXACT_ORDER}, got {len(dims)}")
     dims = _check_shape(dims, k, T)
     x = _check_input(x, dims)
     xt = x.reshape(dims)

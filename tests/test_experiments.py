@@ -52,9 +52,9 @@ def make_config(**overrides):
         (dict(map_kinds=()), "at least one map kind"),
         (dict(map_kinds=("srht",)), "unknown map kind"),
         (dict(map_kinds=("identity",)), "unknown map kind"),
-        (dict(dims=()), "dims must be positive"),
+        (dict(dims=()), "dims must not be empty"),
         (dict(dims=(4, 0)), "dims must be positive"),
-        (dict(k_sweep=()), "k values must be positive"),
+        (dict(k_sweep=()), "k values must not be empty"),
         (dict(k_sweep=(2, 0)), "k values must be positive"),
         (dict(k_sweep=(2, 2)), "k values must be distinct"),
         (dict(T=0), "T must be positive"),

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import kron_vec, linear_to_multi_index
 from tensorproj import maps
 from tensorproj.distributions import EntryDistribution, SeedSpec, _sample_array, very_sparse_family
+from tensorproj.experiments import ExperimentConfig, run_experiment
 from tensorproj.linalg import _check_finite, _check_shape, khatri_rao, qr_factor
 from tensorproj.maps import (
     MAP_KINDS,
@@ -222,8 +223,8 @@ _MC = np.ones((6, 12), dtype=complex)  # a complex 6 x 12 matrix
 _M = np.arange(72.0).reshape(6, 12) % 7 + 1.0
 COMPLEX_CALLS = {
     "squared_norm_samples": lambda: squared_norm_samples((3, 4), 2, GAUSS, _XC, 3, SeedSpec(0)),
-    "theoretical_variance": lambda: theoretical_variance(_XC, 3.0, 2),
-    "exact_variance": lambda: exact_variance(_XC, (3, 4), 3.0, 2),
+    "theoretical_variance": lambda: theoretical_variance(_XC, [3.0], 2),
+    "exact_variance": lambda: exact_variance(_XC, (3, 4), [3.0, 3.0], 2),
     "pairwise_distance_ratio": lambda: pairwise_distance_ratio(_PC, [lambda x: x]),
     "cosine_similarity_rmse": lambda: cosine_similarity_rmse(_PC, [lambda x: x]),
     "cosine_similarity_rmse-map-output": lambda: cosine_similarity_rmse(
@@ -603,16 +604,19 @@ def test_build_trp_validation():
 
 # The map builder, for every kind, and every sampler run the one shape check,
 # so each rejects a zero or float dim, k and T (where it takes dims or T) with
-# the same message.  The builder's rows keep the names of its per-kind draw
-# steps, so their test ids hold: each one calls build_map.
+# the same message, and an empty dims (where it keeps dims as given) as empty.
+# The builder's rows keep the names of its per-kind draw steps, so their test
+# ids hold: each one calls build_map.  A run's config checks its k values
+# with the same size check.
 SHAPE_CHECKED = {
-    "build_trp": ("dims", "k", "T"),
-    "build_ensemble": ("dims", "k", "T"),
+    "build_trp": ("dims", "k", "T", "empty dims"),
+    "build_ensemble": ("dims", "k", "T", "empty dims"),
     "build_conventional": ("dims", "k", "T"),
-    "build_map-rp": ("dims", "k", "T"),
-    "squared_norm_samples": ("dims", "k", "T"),
+    "build_map-rp": ("dims", "k", "T", "empty dims"),
+    "squared_norm_samples": ("dims", "k", "T", "empty dims"),
     "exact_variance": ("dims", "k", "T"),
     "theoretical_variance": ("k", "T"),
+    "ExperimentConfig": ("empty k values",),
 }
 BAD_SHAPES = {
     "dims": (((0,), 2, 1), "dims must be positive, got (0,)"),
@@ -623,6 +627,8 @@ BAD_SHAPES = {
     "T=2.5": (((2, 3), 2, 2.5), "T must be an integer, got 2.5"),
     "k=True": (((2, 3), True, 1), "k must be an integer, got True"),
     "T=True": (((2, 3), 2, True), "T must be an integer, got True"),
+    "empty dims": (((), 2, 1), "dims must not be empty, got ()"),
+    "empty k values": (((2, 3), (), 1), "k values must not be empty, got ()"),
 }
 
 
@@ -639,8 +645,11 @@ def _call_shape_checked(name, dims, k, T):
         "squared_norm_samples": lambda: squared_norm_samples(
             dims, k, GAUSS, x, 4, SeedSpec(0), T=T
         ),
-        "exact_variance": lambda: exact_variance(x, dims, 3.0, k, T),
-        "theoretical_variance": lambda: theoretical_variance(x, 3.0, k, T),
+        "exact_variance": lambda: exact_variance(x, dims, [3.0] * len(dims), k, T),
+        "theoretical_variance": lambda: theoretical_variance(x, [3.0], k, T),
+        "ExperimentConfig": lambda: run_experiment(
+            ExperimentConfig("variance", ("trp",), "gaussian", dims, k, T, 2, 1, 0)
+        ),
     }
     calls[name]()
 

@@ -47,7 +47,7 @@ def test_single_gaussian_factor_variance_is_two_over_k():
     x /= np.linalg.norm(x)
     # the fourth-moment term carries a factor (3 - 3) = 0, so the answer
     # cannot depend on how the mass of x is spread
-    assert theoretical_variance(x, 3.0, 50) == pytest.approx(0.04, rel=1e-12)
+    assert theoretical_variance(x, [3.0], 50) == pytest.approx(0.04, rel=1e-12)
 
 
 def test_axis_vector_two_factor_values():
@@ -62,26 +62,46 @@ def test_zero_input_has_zero_variance():
     assert theoretical_variance(np.zeros(12), [3.0, 3.0], 7) == 0.0
 
 
-def test_scalar_moment_equals_singleton_sequence():
-    x = np.arange(1.0, 6.0)
-    assert theoretical_variance(x, 3.0, 4) == theoretical_variance(x, [3.0], 4)
+# Both formulas take fourth_moments as an iterable, read once, of one real
+# moment per factor.  A scalar used to be one factor's moment in
+# theoretical_variance and every factor's in exact_variance; a ragged list
+# died in numpy's own ndim, and a generator was taken for a scalar.
+MOMENT_FORMS = {
+    "scalar": (lambda: 3.0, "fourth moments need one per factor, got 3.0"),
+    "0-d-array": (lambda: np.array(3.0), "fourth moments need one per factor, got array(3.)"),
+    "bool": (lambda: True, "fourth moments need one per factor, got True"),
+    "ragged": (lambda: [3.0, [3.0]], "fourth moments must be real numbers, got (3.0, [3.0])"),
+    "generator": (lambda: (m for m in [3.0, 5.0]), None),
+}
+VARIANCE_FORMULAS = {
+    "theoretical_variance": lambda m: theoretical_variance(np.arange(1.0, 9.0), m, 4, T=2),
+    "exact_variance": lambda m: exact_variance(np.arange(1.0, 9.0), (4, 2), m, 4, T=2),
+}
 
 
-def test_zero_dim_array_moment_is_a_scalar():
-    # A 0-d array used to raise "iteration over a 0-d array".
-    x = np.arange(1.0, 7.0)
-    assert theoretical_variance(x, np.array(3.0), 4) == theoretical_variance(x, 3.0, 4)
-    assert exact_variance(x, (3, 2), np.array(5.0), 4, T=2) == exact_variance(
-        x, (3, 2), 5.0, 4, T=2
-    )
+@pytest.mark.parametrize("formula", VARIANCE_FORMULAS.values(), ids=VARIANCE_FORMULAS.keys())
+@pytest.mark.parametrize("form", MOMENT_FORMS)
+def test_fourth_moments_are_one_per_factor(formula, form):
+    make, message = MOMENT_FORMS[form]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            assert formula(make()) == formula([3.0, 5.0])
+            return
+        with pytest.raises(ValueError) as err:
+            formula(make())
+    assert str(err.value) == message
 
 
 def test_variance_validation():
     x = np.ones(4)
     with pytest.raises(ValueError, match="k must be positive"):
-        theoretical_variance(x, 3.0, 0)
+        theoretical_variance(x, [3.0], 0)
     with pytest.raises(ValueError, match="T must be positive"):
-        theoretical_variance(x, 3.0, 2, T=0)
+        theoretical_variance(x, [3.0], 2, T=0)
+    # It used to name dims, which the caller never passed.
+    with pytest.raises(ValueError, match="^x must not be empty$"):
+        theoretical_variance(np.array([]), [3.0], 2)
     with pytest.raises(ValueError, match="at least one"):
         theoretical_variance(x, [], 2)
     with pytest.raises(ValueError, match="impossible"):
@@ -92,7 +112,7 @@ def test_variance_validation():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="fourth moments must be real numbers, got "):
-                theoretical_variance(x, bad, 2)
+                theoretical_variance(x, [bad], 2)
             with pytest.raises(ValueError, match="fourth moments must be real numbers, got "):
                 theoretical_variance(x, [3.0, bad], 2)
 
@@ -226,7 +246,7 @@ def test_exact_variance_matches_enumeration(dims, moments, T, support):
 def test_exact_variance_equals_closed_form_for_one_factor_and_axis_vectors():
     x = np.random.default_rng(13).standard_normal(9)
     for m4 in (1.0, 3.0, 9.0):
-        assert exact_variance(x, (9,), m4, 4, T=3) == pytest.approx(
+        assert exact_variance(x, (9,), [m4], 4, T=3) == pytest.approx(
             theoretical_variance(x, [m4], 4, T=3), rel=1e-12
         )
     for dims, moments in [((4, 2), [3.0, 3.0]), ((2, 3, 2), [1.0, 9.0, 3.0])]:
@@ -252,23 +272,18 @@ def test_exact_variance_can_fall_below_closed_form_for_light_tails():
     # Rademacher entries (m = 1): the closed form is no bound there, and the
     # enumeration agrees with the exact value, not with the closed form
     x = np.array([1.0, 1.0, 1.0, -1.0])
-    exact = exact_variance(x, (2, 2), 1.0, 3)
+    exact = exact_variance(x, (2, 2), [1.0, 1.0], 3)
     oracle = enumerated_variance(x, (2, 2), [1.0, 1.0], 3)
     assert exact == pytest.approx(oracle, rel=1e-12)
     assert exact < theoretical_variance(x, [1.0, 1.0], 3)
 
 
-def test_exact_variance_scalar_moment_applies_to_every_factor():
-    x = np.random.default_rng(14).standard_normal(12)
-    assert exact_variance(x, (3, 4), 9.0, 5) == exact_variance(x, (3, 4), [9.0, 9.0], 5)
-
-
 def test_exact_variance_validation():
     x = np.ones(8)
     with pytest.raises(ValueError, match="k must be positive"):
-        exact_variance(x, (4, 2), 3.0, 0)
+        exact_variance(x, (4, 2), [3.0, 3.0], 0)
     with pytest.raises(ValueError, match="T must be positive"):
-        exact_variance(x, (4, 2), 3.0, 2, T=0)
+        exact_variance(x, (4, 2), [3.0, 3.0], 2, T=0)
     with pytest.raises(ValueError, match="at least one"):
         exact_variance(np.ones(1), (), [], 2)
     with pytest.raises(ValueError, match="impossible"):
@@ -279,13 +294,25 @@ def test_exact_variance_validation():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="fourth moments must be real numbers, got "):
-                exact_variance(x, (4, 2), bad, 2)
+                exact_variance(x, (4, 2), [bad, bad], 2)
             with pytest.raises(ValueError, match="fourth moments must be real numbers, got "):
                 exact_variance(x, (4, 2), [3.0, bad], 2)
     with pytest.raises(ValueError, match="dims must be positive"):
-        exact_variance(np.ones(0), (0, 2), 3.0, 2)
+        exact_variance(np.ones(0), (0, 2), [3.0, 3.0], 2)
     with pytest.raises(ValueError, match="x has 7 entries, dims \\(4, 2\\) need 8"):
-        exact_variance(np.ones(7), (4, 2), 3.0, 2)
+        exact_variance(np.ones(7), (4, 2), [3.0, 3.0], 2)
+
+
+def test_exact_variance_refuses_orders_past_the_limit(monkeypatch):
+    # The 4^N expansion takes about 4x longer per order, so order 11 is
+    # refused before the expansion or any contraction starts.
+    def started(*args, **kwargs):
+        raise AssertionError("exact_variance expanded an order past its limit")
+
+    monkeypatch.setattr(stats, "product", started)
+    monkeypatch.setattr(stats, "_tied_sum", started)
+    with pytest.raises(ValueError, match="^exact variance takes order at most 10, got 11$"):
+        exact_variance(np.ones(1), (1,) * 11, [3.0] * 11, 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -293,15 +320,15 @@ def test_non_finite_inputs_and_moments_are_rejected(bad):
     x = np.ones(8)
     x[3] = bad
     with pytest.raises(ValueError, match="NaN or infinite"):
-        exact_variance(x, (4, 2), 3.0, 2)
+        exact_variance(x, (4, 2), [3.0, 3.0], 2)
     with pytest.raises(ValueError, match="NaN or infinite"):
-        theoretical_variance(x, 3.0, 2)
+        theoretical_variance(x, [3.0], 2)
     with pytest.raises(ValueError, match="NaN or infinite"):
         squared_norm_samples((4, 2), 3, GAUSS, x, 10, SeedSpec(0))
     with pytest.raises(ValueError, match="fourth moments must be finite"):
         exact_variance(np.ones(8), (4, 2), [3.0, bad], 2)
     with pytest.raises(ValueError, match="fourth moments must be finite"):
-        theoretical_variance(np.ones(8), bad, 2)
+        theoretical_variance(np.ones(8), [bad], 2)
 
 
 # ------------------------------------------------------------ mean and SE
