@@ -128,10 +128,17 @@ def _sample_array(
 def _per_factor(
     dist: EntryDistribution | Sequence[EntryDistribution], order: int
 ) -> tuple[EntryDistribution, ...]:
-    """Broadcast a single distribution (or validate a sequence) to ``order`` factors."""
+    """One law broadcast, or an iterable of laws read once, as ``order`` laws.
+
+    Anything else, such as a kind's name, is refused as given before any draw."""
     if isinstance(dist, EntryDistribution):
         return (dist,) * order
-    dists = tuple(dist)
+    try:
+        dists = tuple(dist)
+    except TypeError:
+        dists = (dist,)
+    if not all(isinstance(d, EntryDistribution) for d in dists):
+        raise ValueError(f"dist must be an EntryDistribution or one per factor, got {dist!r}")
     if len(dists) != order:
         raise ValueError(f"got {len(dists)} distributions for {order} factors")
     return dists

@@ -72,15 +72,20 @@ def _check_shape(dims: Sequence[int], k: int, T: int = 1) -> tuple[int, ...]:
     return tuple(int(d) for d in dims)
 
 
-def _check_finite(x: np.ndarray) -> np.ndarray:
-    """``x`` itself, which must hold no NaN or infinite entry.
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether ``x`` holds no NaN or infinite entry, without a warning.
 
     A finite sum rules both out without an ``x``-sized temporary; only a sum
     that is not finite, NaN and inf or an overflow, needs the entrywise test.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         total = x.sum()
-    if not np.isfinite(total) and not np.isfinite(x).all():
+    return bool(np.isfinite(total) or np.isfinite(x).all())
+
+
+def _check_finite(x: np.ndarray) -> np.ndarray:
+    """``x`` itself, which must hold no NaN or infinite entry (see :func:`_all_finite`)."""
+    if not _all_finite(x):
         raise ValueError("input holds NaN or infinite entries")
     return x
 

@@ -16,10 +16,9 @@ the Monte-Carlo sampler in :mod:`tensorproj.stats` on a stack of maps, runs
 this one kernel on the stored factors, so a map applies as it materializes.
 Storage drops from ``k * d`` for a dense map to ``k * sum(d_i)``.
 
-An ``apply`` reads its input once, in the kernel.  Its finiteness check
-rides on the kernel's ``(n, k)`` output, since a NaN or infinite input entry
-makes its whole output row non-finite; only an output that is not finite
-rescans the input.
+An ``apply`` runs the kernel once and has two outcomes: a finite image, or
+a ``ValueError`` for an input with NaN or infinite entries or a finite
+input whose image overflows (see :func:`_apply_checked`).
 
 ``TrpEnsemble`` averages T independent TRPs with a ``1/sqrt(T)`` scale so the
 map stays an expected isometry while the fourth-moment part of the squared
@@ -27,14 +26,11 @@ norm variance shrinks by ``1/T``.  ``ConventionalRp``, the unstructured
 dense baseline, is the one-factor TRP, whose kernel is one plain GEMM.
 
 :func:`build_map` is the one map builder: it checks a map's kind and sizes
-once and hands the draw to its kind's step, and a replicated run builds map
-i from the seed's child stream i.  One random object draws from one stream:
-a TRP draws its factors in mode order from its seed's generator, the layout
-of a one-trial block of :func:`tensorproj.stats.squared_norm_samples`, so a
-one-factor TRP is bitwise the dense map of the same seed.  An ensemble
-draws replicate t from the seed's child stream t.  The steps construct maps
-from their own fresh draws without re-checking them; the constructors check
-every field.
+once and hands the draw to its kind's step.  A TRP draws its factors in
+mode order from its seed's one stream, the layout of a one-trial block of
+:func:`tensorproj.stats.squared_norm_samples`, so a one-factor TRP is
+bitwise the dense map of the same seed; an ensemble draws replicate t from
+child stream t.  The steps skip the constructors' checks of fresh draws.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import EntryDistribution, SeedSpec, _per_factor, _sample_array, _unchecked
-from .linalg import _as_real, _check_finite, _check_shape, khatri_rao
+from .linalg import _all_finite, _as_real, _check_finite, _check_shape, khatri_rao
 
 # Ceiling on d * k when materializing an explicit projection matrix.
 MATERIALIZE_CAP = 10_000_000
@@ -58,8 +54,7 @@ MAP_KINDS = ("rp", "trp", "trp_t")
 def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
     """The shape check of every map's input: a real vector or ``(n, d)`` batch.
 
-    It does not read the entries: :func:`_apply_checked` refuses NaN and
-    infinite entries from the kernel's output.
+    Its entries are checked from the kernel's output (:func:`_apply_checked`).
     """
     x = _as_real(x)
     if x.ndim not in (1, 2):
@@ -90,25 +85,21 @@ def _contract(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _apply_checked(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """``_contract(xs, factors) / sqrt(k)``, refusing an ``xs`` with NaN or inf.
+    """``_contract(xs, factors) / sqrt(k)``: a finite image, or a ``ValueError``.
 
     The finiteness check rides on the ``(n, k)`` output: a NaN or infinite
     entry of ``xs`` makes its whole output row NaN or infinite, even where it
     meets only zero factor entries (``0 * inf`` is NaN), so a finite output
-    sum proves the input finite.  The kernel runs silenced, so a refused
-    input warns nothing, even where its finite entries overflow.  Only a sum
-    that is not finite rescans ``xs``, and a finite ``xs`` that overflowed
-    re-runs the kernel with only ``invalid`` silenced, to warn of it.
+    sum proves the input finite.  The kernel runs once, silenced.  Only an
+    output that is not finite entrywise rescans ``xs``; if ``xs`` is finite,
+    its image overflowed and is refused as such.
     """
-    scale = math.sqrt(factors[0].shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _contract(xs, factors) / scale
-        total = y.sum()
-    if np.isfinite(total):
+        y = _contract(xs, factors) / math.sqrt(factors[0].shape[-1])
+    if _all_finite(y):
         return y
     _check_finite(xs)
-    with np.errstate(invalid="ignore"):
-        return _contract(xs, factors) / scale
+    raise ValueError("the image of this input overflows float64")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,13 +148,10 @@ class TensorRandomProjection:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Project ``x`` (a vector of length d, or a batch of shape (n, d)).
 
-        Costs one GEMM of ``n * d * k`` multiply-adds, plus forming the
-        ``(d / d_1) x k`` Khatri-Rao block of the trailing factors and an
-        ``n x d_1 x k`` intermediate (see the module docstring).  Every map
-        runs this one kernel on its stored factors, whatever their law.  It
-        reads ``x`` once: NaN or infinite entries are refused from the
-        kernel's output, and ``x`` is rescanned only when that output is not
-        finite.
+        Runs the one kernel of every map once, ``n * d * k`` multiply-adds
+        (see the module docstring), and returns a finite image or raises
+        ``ValueError``: for NaN or infinite entries of ``x``, or for an
+        image that overflows.
         """
         xs, single = _as_batch(x, self.d)
         if all(dist.kind == "sparse_sign" for dist in self.dists):
@@ -337,7 +325,9 @@ def build_map(
     dims = _check_shape(dims, k, T)
     if kind == "rp":
         if not isinstance(dist, EntryDistribution):
-            raise ValueError("a dense projection takes a single distribution")
+            raise ValueError(
+                f"a dense projection takes a single distribution (an EntryDistribution), got {dist!r}"
+            )
         return build_conventional(math.prod(dims), k, dist, seed)
     if kind == "trp":
         return build_trp(dims, k, dist, seed)

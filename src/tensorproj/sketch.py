@@ -169,7 +169,7 @@ def tucker_synthetic(
     the noisy draw perturbs.
     """
     _check_sizes(side=side, order=order)
-    if not 1 <= core_rank <= side:
+    if isinstance(core_rank, (int, np.integer)) and not 1 <= core_rank <= side:
         raise ValueError(
             f"core rank must lie in 1..{side} (the side length), got {core_rank}"
         )

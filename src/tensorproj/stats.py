@@ -32,23 +32,17 @@ terms that grow with the per-mode row and column energies of x.  With every
 then a lower bound on the exact variance, strict for dense x; lighter-tailed
 entries such as Rademacher signs (m = 1) can put the exact variance below it.
 
-``squared_norm_samples`` is a vectorized sampler that draws the same law as
-building maps one by one but batches the factor draws, which is what makes
-million-trial grids affordable.  It works in blocks of trials: block b draws
-its maps from the seed's child stream b and contracts them at once with the
-maps' own Khatri-Rao kernel (``maps._contract``), batched over the draws
-instead of over inputs.  A block's drawn factors and kernel scratch stay
-near ``_BLOCK_SCRATCH`` entries, and its size depends only on the shape, so
-it is part of the stream definition.  Its callers take every Monte-Carlo
-statistic (mean, variance, standard error) as a reduction of its vector.
+``squared_norm_samples`` draws the law of building and applying maps one
+by one, but in blocks of trials, which makes million-trial grids
+affordable: block b draws its maps from the seed's child stream b and
+contracts them at once with the maps' own kernel (``maps._contract``).  A
+block's size depends only on the shape (its scratch stays near
+``_BLOCK_SCRATCH`` entries), so it is part of the stream definition.
 
-The distance and cosine estimators share one contract: they take the points
-and an iterable of maps (built one at a time by kind,
-:func:`tensorproj.maps.build_map`), compute the points' own pair distances
-or cosines once, hold one map at a time and return one value per map.
-Reductions across maps, such as a mean and its standard error, are the
-caller's.  The distance estimator also builds the pair indices once; the
-points and each map image then go through one chunked pair-gather kernel,
+The distance and cosine estimators take the points and an iterable of
+maps, compute the points' own pair distances or cosines once, hold one map
+at a time and return one value per map; reductions across maps are the
+caller's.  Distances go through one chunked pair-gather kernel,
 :func:`_pair_distances`, whose memory is a fixed budget of ``_PAIR_CHUNK``
 difference entries, not a block per point.
 """
@@ -63,7 +57,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .distributions import EntryDistribution, SeedSpec, _per_factor, _sample_array
-from .linalg import _as_real, _check_finite, _check_real, _check_shape, _check_sizes
+from .linalg import _all_finite, _as_real, _check_finite, _check_real, _check_shape, _check_sizes
 from .maps import _contract
 
 Projection = Callable[[np.ndarray], np.ndarray]
@@ -171,11 +165,11 @@ def exact_variance(
     at least as large otherwise.
     """
     moments = _check_moments(fourth_moments)
+    dims = _check_shape(dims, k, T)
     if len(moments) != len(dims):
         raise ValueError(f"got {len(moments)} fourth moments for {len(dims)} factors")
     if len(dims) > _MAX_EXACT_ORDER:
         raise ValueError(f"exact variance takes order at most {_MAX_EXACT_ORDER}, got {len(dims)}")
-    dims = _check_shape(dims, k, T)
     x = _check_input(x, dims)
     xt = x.reshape(dims)
     weights: dict[tuple, float] = {}
@@ -252,16 +246,15 @@ def squared_norm_samples(
 ) -> np.ndarray:
     """``trials`` draws of ||f(x)||^2 under independent T-replicate maps.
 
-    Distributionally identical to ``build_map("trp_t", ...)`` followed by
-    ``apply`` in a loop, but draws whole blocks of maps at once.  A block
-    holds ``max(1, _BLOCK_SCRATCH // _trial_scratch(dims, k, T))`` trials,
-    a number fixed by the shape alone.  Block b draws each mode's
-    ``(n T, d_i, k)`` factors, in mode order, from the seed's child stream
-    b, and is contracted in one kernel call.  So runs that share j whole
-    blocks share their draws, while a partial last block draws other
-    values than the same trials inside a whole block.  With T = 1, a
-    one-trial run draws the factors of ``build_map("trp", ...)`` on
-    ``seed.child(0)``.
+    The law of ``build_map("trp_t", ...)`` and ``apply`` in a loop.  A block
+    holds ``max(1, _BLOCK_SCRATCH // _trial_scratch(dims, k, T))`` trials.
+    Block b draws each mode's ``(n T, d_i, k)`` factors, in mode order, from
+    the seed's child stream b, and is contracted in one kernel call.  So
+    runs that share j whole blocks share their draws, while a partial last
+    block draws other values than the same trials inside a whole block.
+    With T = 1, a one-trial run draws the factors of ``build_map("trp",
+    ...)`` on ``seed.child(0)``.  Like ``apply``, it returns finite values
+    or raises ``ValueError``, also for a finite ``x`` whose squares overflow.
     """
     dims = _check_shape(dims, k, T)
     dists = _per_factor(dist, len(dims))
@@ -269,14 +262,17 @@ def squared_norm_samples(
     _check_sizes(trials=trials)
     block = max(1, _BLOCK_SCRATCH // _trial_scratch(dims, k, T))
     out = np.empty(trials)
-    for b, start in enumerate(range(0, trials, block)):
-        n = min(block, trials - start)
-        rng = seed.child(b).generator()
-        factors = [_sample_array(dists[i], (n * T, dims[i], k), rng) for i in range(len(dims))]
-        s = _contract_all(x, factors).reshape(n, T, k).sum(axis=1)
-        w = out[start : start + n]
-        np.einsum("ij,ij->i", s, s, out=w)
-        w /= T * k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, start in enumerate(range(0, trials, block)):
+            n = min(block, trials - start)
+            rng = seed.child(b).generator()
+            factors = [_sample_array(dists[i], (n * T, dims[i], k), rng) for i in range(len(dims))]
+            s = _contract_all(x, factors).reshape(n, T, k).sum(axis=1)
+            w = out[start : start + n]
+            np.einsum("ij,ij->i", s, s, out=w)
+            w /= T * k
+    if not _all_finite(out):
+        raise ValueError("the squared norms of this x overflow float64")
     return out
 
 

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from contextlib import nullcontext
 
 import hypothesis.strategies as st
 import numpy as np
@@ -359,21 +361,16 @@ def test_finite_input_gets_no_validation_only_pass(monkeypatch):
     assert calls == []
 
 
-def test_finite_input_that_overflows_the_kernel_is_not_refused():
-    # Column 0 overflows to inf, column 1 meets inf - inf: the output is not
-    # finite, so the input is rescanned, found finite, and the output stands.
+@pytest.mark.filterwarnings("error")
+def test_finite_input_that_overflows_the_kernel_is_refused():
+    # Column 0 overflows to inf, column 1 meets inf - inf: this image used to
+    # be returned as [inf, nan] with a re-run kernel's overflow warning.
     head = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     m = TensorRandomProjection((head, np.ones((2, 2))), (GAUSS, GAUSS))
-    x = np.full(6, 1e308)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        y = m.apply(x)
-    assert [str(w.message) for w in caught] == ["overflow encountered in matmul"]
-    assert_array_equal(y, [math.inf, math.nan])
-    with np.errstate(over="ignore", invalid="ignore"):
-        kernel = _contract(x[None, :], m.factors)[0] / math.sqrt(2)
-    assert y.tobytes() == kernel.tobytes()
-    assert np.geterr()["invalid"] == "warn"
+    before = np.geterr()
+    with pytest.raises(ValueError, match="overflow"):
+        m.apply(np.full(6, 1e308))
+    assert np.geterr() == before
 
 
 # A NaN or infinite entry next to finite entries that overflow the kernel.
@@ -390,18 +387,67 @@ def test_non_finite_input_that_also_overflows_is_refused_without_a_warning(kind,
         m.apply(x)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["trp", "rp"])
-def test_finite_input_that_overflows_a_built_map_warns_once(kind):
+def test_finite_input_that_overflows_a_built_map_is_refused_without_a_warning(kind):
     m = build_map(kind, (3, 4), 3, GAUSS, 1, SeedSpec(0))
-    x = np.full(12, 1e308)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        y = m.apply(x)
-    assert [str(w.message) for w in caught] == ["overflow encountered in matmul"]
-    assert not np.isfinite(y).all()
-    with np.errstate(over="ignore", invalid="ignore"):
-        kernel = _contract(x[None, :], m.factors)[0] / math.sqrt(3)
+    with pytest.raises(ValueError, match="overflow"):
+        m.apply(np.full(12, 1e308))
+
+
+OVERFLOW_MAPS = {
+    "trp": lambda: build_map("trp", (3, 4), 3, GAUSS, 1, SeedSpec(0)),
+    "rp": lambda: build_map("rp", (3, 4), 3, GAUSS, 1, SeedSpec(0)),
+    "hand-built": lambda: TensorRandomProjection((np.eye(3), np.ones((4, 3))), (GAUSS, GAUSS)),
+}
+
+
+def _sum_overflow_batch(m):
+    # Rows of +-2**1020 e_1: power-of-two scaling is exact, so the image's
+    # entries stay finite while their sum passes 2**1024.
+    e1 = np.zeros(12)
+    e1[0] = 1.0
+    row_sum = float(m.apply(e1).sum())
+    n = math.ceil(32 / abs(row_sum))
+    return np.tile(math.copysign(2.0**1020, row_sum) * e1, (n, 1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", OVERFLOW_MAPS.values(), ids=OVERFLOW_MAPS.keys())
+def test_finite_image_whose_sum_overflows_is_returned_as_is(make):
+    m = make()
+    x = _sum_overflow_batch(m)
+    y = m.apply(x)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(y.sum())
+    assert np.isfinite(y).all()
+    kernel = _contract(x, m.factors) / math.sqrt(3)
     assert y.tobytes() == kernel.tobytes()
+
+
+def test_apply_runs_the_kernel_once(monkeypatch):
+    # A finite input whose image overflowed used to re-run the kernel to warn.
+    calls = []
+
+    def counted(xs, factors):
+        calls.append(xs.shape)
+        return _contract(xs, factors)
+
+    nan_input = np.ones(12)
+    nan_input[3] = math.nan
+    built = [(m, _sum_overflow_batch(m)) for m in (make() for make in OVERFLOW_MAPS.values())]
+    monkeypatch.setattr(maps, "_contract", counted)
+    for m, sum_overflow in built:
+        for x, refused in [
+            (np.ones(12), None),
+            (sum_overflow, None),
+            (np.full(12, 1e308), "overflow"),
+            (nan_input, "input holds NaN or infinite entries"),
+        ]:
+            calls.clear()
+            with pytest.raises(ValueError, match=refused) if refused else nullcontext():
+                m.apply(x)
+            assert len(calls) == 1
 
 
 # ------------------------------------------------------------------ ensemble
@@ -765,9 +811,29 @@ def test_one_factor_trp_is_the_dense_map_of_the_same_seed(dist):
         assert_array_equal(trp(x), rp(x))
 
 
-def test_build_map_rejects_bad_requests():
+def test_build_map_rejects_bad_requests(monkeypatch):
     with pytest.raises(ValueError, match="single distribution"):
         build_map("rp", (3, 3), 2, (GAUSS, GAUSS), 1, SeedSpec(0))
+    with pytest.raises(ValueError, match="got 3 distributions for 2 factors"):
+        build_map("trp", (2, 2), 3, (GAUSS,) * 3, 1, SeedSpec(0))
+
+    def drawn(*args):
+        raise AssertionError("a refused law reached a draw")
+
+    # A string used to be read as one law per character: "got 8
+    # distributions for 2 factors", or an AttributeError on 8 factors.
+    monkeypatch.setattr(maps, "_sample_array", drawn)
+    for kind, dims, dist in [
+        ("trp", (2, 2), "gaussian"),
+        ("trp", (2,) * 8, "gaussian"),
+        ("trp", (2, 2), ["g", "h"]),
+        ("trp_t", (2, 2), "gaussian"),
+        ("trp", (2, 2), None),
+    ]:
+        with pytest.raises(ValueError, match=f"one per factor, got {re.escape(repr(dist))}$"):
+            build_map(kind, dims, 3, dist, 2, SeedSpec(0))
+    with pytest.raises(ValueError, match="single distribution.*got 'gaussian'$"):
+        build_map("rp", (2, 2), 3, "gaussian", 1, SeedSpec(0))
     with pytest.raises(ValueError, match="unknown map kind"):
         build_map("dct", (3, 3), 2, GAUSS, 1, SeedSpec(0))
     # The kind is checked first: a bad kind on bad sizes names the kind.

@@ -269,10 +269,13 @@ def test_tucker_synthetic_validation():
         tucker_synthetic(0, 2, 1, SeedSpec(0))
     with pytest.raises(ValueError, match="order"):
         tucker_synthetic(4, 0, 1, SeedSpec(0))
-    with pytest.raises(ValueError, match="core rank"):
-        tucker_synthetic(4, 2, 5, SeedSpec(0))
-    with pytest.raises(ValueError, match="core rank"):
-        tucker_synthetic(4, 2, 0, SeedSpec(0))
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match=r"core rank must lie in 1\.\.4"):
+            tucker_synthetic(4, 2, bad, SeedSpec(0))
+    # Each used to fail with a bare TypeError from the range comparison.
+    for bad in ("3", None):
+        with pytest.raises(ValueError, match=f"core_rank must be an integer, got {bad!r}"):
+            tucker_synthetic(4, 2, bad, SeedSpec(0))
     with pytest.raises(ValueError, match="noise fraction"):
         tucker_synthetic(4, 2, 2, SeedSpec(0), noise_fraction=-0.01)
     # Each used to fail with a bare TypeError, or run with a ComplexWarning.

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -301,6 +302,9 @@ def test_exact_variance_validation():
         exact_variance(np.ones(0), (0, 2), [3.0, 3.0], 2)
     with pytest.raises(ValueError, match="x has 7 entries, dims \\(4, 2\\) need 8"):
         exact_variance(np.ones(7), (4, 2), [3.0, 3.0], 2)
+    # Dims are read once, as a tuple, before their length is taken.
+    dims = (d for d in (4, 2))
+    assert exact_variance(x, dims, [3.0, 3.0], 10) == exact_variance(x, (4, 2), [3.0, 3.0], 10)
 
 
 def test_exact_variance_refuses_orders_past_the_limit(monkeypatch):
@@ -488,6 +492,15 @@ def test_squared_norm_samples_validation():
         squared_norm_samples((4, 2), 3, GAUSS, np.ones(8), 0, SeedSpec(0))
     with pytest.raises(ValueError, match="T must be positive"):
         squared_norm_samples((4, 2), 3, GAUSS, np.ones(8), 10, SeedSpec(0), T=0)
+    # Each used to die with "'str' object has no attribute 'kind'".
+    for dist in ("gaussian", ["g", "h"]):
+        with pytest.raises(ValueError, match=f"one per factor, got {re.escape(repr(dist))}$"):
+            squared_norm_samples((4, 2), 3, dist, np.ones(8), 10, SeedSpec(0))
+    # A finite x whose squared norms overflow used to give [inf, inf, inf].
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            squared_norm_samples((2, 2), 3, GAUSS, np.full(4, 1e200), 3, SeedSpec(0))
 
 
 def test_squared_norm_samples_rejects_zero_k_and_dims():
