@@ -11,10 +11,13 @@ matrix is never formed.  :meth:`TensorRandomProjection.apply` forms only the
 ``(d / d_1) x k`` Khatri-Rao block ``A_2 (.) ... (.) A_N`` of the trailing
 factors, multiplies the batch of ``n`` inputs, reshaped to
 ``(n, d_1, d / d_1)``, by it in one GEMM of ``n * d * k`` multiply-adds, and
-reduces the ``n x d_1 x k`` intermediate against ``A_1``.  Every map, and
-the Monte-Carlo sampler in :mod:`tensorproj.stats` on a stack of maps, runs
-this one kernel on the stored factors, so a map applies as it materializes.
-Storage drops from ``k * d`` for a dense map to ``k * sum(d_i)``.
+reduces the ``n x d_1 x k`` intermediate against ``A_1``.  Rows are
+independent, so the batch walks in blocks of rows whose intermediate stays
+within ``_KERNEL_SCRATCH`` entries (2 MB), with the output of one block.
+Every map, and the Monte-Carlo sampler in :mod:`tensorproj.stats` on a
+stack of maps, runs this one kernel on the stored factors, so a map
+applies as it materializes.  Storage drops from ``k * d`` for a dense map
+to ``k * sum(d_i)``.
 
 An ``apply`` runs the kernel once and has two outcomes: a finite image, or
 a ``ValueError`` for an input with NaN or infinite entries or a finite
@@ -22,8 +25,12 @@ input whose image overflows (see :func:`_apply_checked`).
 
 ``TrpEnsemble`` averages T independent TRPs with a ``1/sqrt(T)`` scale so the
 map stays an expected isometry while the fourth-moment part of the squared
-norm variance shrinks by ``1/T``.  ``ConventionalRp``, the unstructured
-dense baseline, is the one-factor TRP, whose kernel is one plain GEMM.
+norm variance shrinks by ``1/T``; its ``apply`` refuses a sum of replicate
+images that overflows.  T replicates of k columns are also one TRP of T k
+columns, their factors side by side: :func:`_replicate_images` gives every
+replicate's image from one kernel pass, so an ensemble sketch reads its
+input once.  ``ConventionalRp``, the unstructured dense baseline, is the
+one-factor TRP, whose kernel is one plain GEMM.
 
 :func:`build_map` is the one map builder: it checks a map's kind and sizes
 once and hands the draw to its kind's step.  A TRP draws its factors in
@@ -69,25 +76,45 @@ def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
     return x, single
 
 
+# Float64 entries (2 MB) of the ``(rows, d_1, k)`` intermediate that one row
+# block of :func:`_contract` may hold; a batch walks in blocks of rows.
+_KERNEL_SCRATCH = 2**18
+
+
 def _contract(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     """Unscaled ``xs @ (A_1 (.) ... (.) A_N)`` for a batch ``xs`` of shape (n, d).
 
     Factors of shape ``(d_i, k)`` give ``(n, k)``.  Factors of shape
-    ``(m, d_i, k)`` hold m maps and give ``(m, n, k)``, map by map.
+    ``(m, d_i, k)`` hold m maps and give ``(m, n, k)``, map by map.  Rows
+    are independent in the GEMM and in the reduction against ``A_1``, so
+    the batch walks in blocks of rows whose ``(m, rows, d_1, k)``
+    intermediate holds at most ``_KERNEL_SCRATCH`` entries (one row at
+    least), with bitwise the output of one block.
     """
     head = factors[0]
     if len(factors) == 1:
         return xs @ head
     tail = reduce(khatri_rao, factors[1:])
-    t = xs.reshape(xs.shape[0], head.shape[-2], tail.shape[-2]) @ tail[..., None, :, :]
-    del tail  # free the (m, d / d_1, k) block before the reduction allocates
-    return np.einsum("...nij,...ij->...nj", t, head)
+    n, d_1 = xs.shape[0], head.shape[-2]
+    rows = max(1, _KERNEL_SCRATCH // head.size)
+    out = np.empty(head.shape[:-2] + (n, head.shape[-1]))
+    for s in range(0, n, rows):
+        # A temporary intermediate, freed before the next block allocates its own.
+        np.einsum(
+            "...nij,...ij->...nj",
+            xs[s : s + rows].reshape(-1, d_1, tail.shape[-2]) @ tail[..., None, :, :],
+            head,
+            out=out[..., s : s + rows, :],
+        )
+    return out
 
 
-def _apply_checked(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+def _apply_checked(xs: np.ndarray, factors: Sequence[np.ndarray], k: int) -> np.ndarray:
     """``_contract(xs, factors) / sqrt(k)``: a finite image, or a ``ValueError``.
 
-    The finiteness check rides on the ``(n, k)`` output: a NaN or infinite
+    ``k`` is the column count of one map: the factors' own, or that of
+    each replicate whose factors sit side by side (:func:`_replicate_images`).
+    The finiteness check rides on the output: a NaN or infinite
     entry of ``xs`` makes its whole output row NaN or infinite, even where it
     meets only zero factor entries (``0 * inf`` is NaN), so a finite output
     sum proves the input finite.  The kernel runs once, silenced.  Only an
@@ -95,7 +122,7 @@ def _apply_checked(xs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     its image overflowed and is refused as such.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _contract(xs, factors) / math.sqrt(factors[0].shape[-1])
+        y = _contract(xs, factors) / math.sqrt(k)
     if _all_finite(y):
         return y
     _check_finite(xs)
@@ -157,7 +184,7 @@ class TensorRandomProjection:
         if all(dist.kind == "sparse_sign" for dist in self.dists):
             y = self._apply_sparse(xs)
         else:
-            y = _apply_checked(xs, self.factors)
+            y = _apply_checked(xs, self.factors, self.k)
         return y[0] if single else y
 
     __call__ = apply
@@ -165,7 +192,7 @@ class TensorRandomProjection:
     def _apply_sparse(self, xs: np.ndarray) -> np.ndarray:
         # The same kernel: only the seam where the benchmark counts
         # all-sparse-sign applies.  ROADMAP item 1(a) retires it and its branch.
-        return _apply_checked(xs, self.factors)
+        return _apply_checked(xs, self.factors, self.k)
 
     def materialize(self) -> np.ndarray:
         """Explicit ``d x k`` Khatri-Rao product of the factors, unscaled.
@@ -232,15 +259,40 @@ class TrpEnsemble:
         return self.replicates[0].d
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """``sum_t replicates[t].apply(x) / sqrt(T)``: a finite image, or a ``ValueError``.
+
+        Each replicate applies on its own (ROADMAP item 7 moves this onto
+        :func:`_replicate_images`' one pass); the sum runs silenced, and a
+        sum that overflows is refused like an image that overflows.
+        """
         out = self.replicates[0].apply(x)
-        for rep in self.replicates[1:]:
-            out = out + rep.apply(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rep in self.replicates[1:]:
+                out = out + rep.apply(x)
+        if not _all_finite(out):
+            raise ValueError("the image of this input overflows float64")
         return out / math.sqrt(self.T)
 
     __call__ = apply
 
     def storage_count(self) -> int:
         return sum(rep.storage_count() for rep in self.replicates)
+
+
+def _replicate_images(ensemble: TrpEnsemble, x: np.ndarray) -> np.ndarray:
+    """Every replicate's image of ``x`` from one kernel pass, side by side.
+
+    A TRP is a column-wise Khatri-Rao product, so T replicates of k columns
+    are one TRP of T k columns whose mode-i factor holds theirs side by
+    side, ``(d_i, T k)``.  Column block t of the ``(n, T k)`` result is
+    ``ensemble.replicates[t].apply(x)`` up to rounding (bitwise at T = 1),
+    each scaled by ``1/sqrt(k)``; the batch is read once, and the image is
+    finite or refused as by ``apply``.
+    """
+    xs, single = _as_batch(x, ensemble.d)
+    factors = [np.hstack(f) for f in zip(*(rep.factors for rep in ensemble.replicates))]
+    y = _apply_checked(xs, factors, ensemble.k)
+    return y[0] if single else y
 
 
 class ConventionalRp(TensorRandomProjection):
@@ -262,7 +314,7 @@ class ConventionalRp(TensorRandomProjection):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         xs, single = _as_batch(x, self.d)
-        y = _apply_checked(xs, self.factors)
+        y = _apply_checked(xs, self.factors, self.k)
         return y[0] if single else y
 
     __call__ = apply

@@ -6,15 +6,18 @@ projected approximation ``Q Q^T X`` in factored form, ``LowRank(Q, Q^T X)``;
 ``.dense()`` forms the m x n matrix when it is wanted.  :func:`low_rank_approx`
 takes any map; for a :class:`~tensorproj.maps.TrpEnsemble` it averages the T
 replicates' approximations, trading a factor T of work for the ensemble's
-variance reduction.  The mean stays factored too, and its T bases are
-projected with one ``Q^T X`` over all Tk columns.  :func:`relative_error` scores a
-factored approximation from ``||X||^2``, ``Q^T X`` and the small Gram terms
-``Q^T Q`` and ``B``, with no m x n product.  Each sketch forms ``Q^T X``
-once: an approximation returned by a builder and scored against the same X
-object it was built from (which must not be modified in place since) reuses
-the product its builder formed.  The reuse is private to what the builders
-return; any other X, and any ``LowRank`` built by hand or with
-``dataclasses.replace``, is scored with a fresh ``Q^T X``.
+variance reduction.  The T sketches come from one kernel pass over X on the
+replicates' factors side by side, one QR per k-column block; the mean stays
+factored too, and its T bases are projected with one ``Q^T X`` over all Tk
+columns.  So an ensemble sketch reads X twice, as one sketch does.
+:func:`relative_error` scores a factored approximation from ``||X||^2``,
+``Q^T X`` and the small Gram terms ``Q^T Q`` and ``B``, with no m x n
+product.  Each sketch forms ``Q^T X`` once: an approximation returned by a
+builder and scored against the same X object it was built from (which must
+not be modified in place since) reuses the product its builder formed.  The
+reuse is private to what the builders return; any other X, and any
+``LowRank`` built by hand or with ``dataclasses.replace``, is scored with a
+fresh ``Q^T X``.
 
 Synthetic targets come from a random Tucker model: an order-N core with
 uniform entries, orthonormal arm matrices, and white noise calibrated to 1%
@@ -32,7 +35,7 @@ import numpy as np
 
 from .distributions import SeedSpec
 from .linalg import _as_real, _check_finite, _check_real, _check_sizes, qr_factor
-from .maps import TrpEnsemble
+from .maps import TrpEnsemble, _replicate_images
 from .stats import Projection, _project
 
 NOISE_ENERGY_FRACTION = 0.01
@@ -83,21 +86,24 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _range_basis(x: np.ndarray, omega: Projection, stacklevel: int = 3) -> np.ndarray:
-    """Orthonormal basis Q of one sketch Z = omega(rows of X); warns if Z is rank deficient."""
-    z = _project(omega, x)
-    if z.shape[1] > x.shape[0]:
-        raise ValueError(
-            f"sketch size {z.shape[1]} exceeds row count {x.shape[0]}"
-        )
-    q, _, rank = qr_factor(z)
-    if rank < z.shape[1]:
-        warnings.warn(
-            f"sketch has effective rank {rank} < {z.shape[1]}",
-            RankDeficiencyWarning,
-            stacklevel=stacklevel,
-        )
-    return q
+def _range_basis(z: np.ndarray, blocks: int, stacklevel: int) -> list[np.ndarray]:
+    """Orthonormal bases of a sketch Z's ``blocks`` equal column blocks, one QR each.
+
+    Each rank-deficient block warns, ``stacklevel`` frames up.
+    """
+    if z.shape[1] // blocks > z.shape[0]:
+        raise ValueError(f"sketch size {z.shape[1] // blocks} exceeds row count {z.shape[0]}")
+    bases = []
+    for block in np.split(z, blocks, axis=1):
+        q, _, rank = qr_factor(block)
+        if rank < block.shape[1]:
+            warnings.warn(
+                f"sketch has effective rank {rank} < {block.shape[1]}",
+                RankDeficiencyWarning,
+                stacklevel=stacklevel,
+            )
+        bases.append(q)
+    return bases
 
 
 def low_rank_approx(x: np.ndarray, omega: Projection) -> LowRank:
@@ -112,7 +118,7 @@ def low_rank_approx(x: np.ndarray, omega: Projection) -> LowRank:
     if isinstance(omega, TrpEnsemble):
         return averaged_low_rank_approx(x, omega)
     x = _as_matrix(x)
-    q = _range_basis(x, omega)
+    (q,) = _range_basis(_project(omega, x), 1, stacklevel=3)
     qtx = q.T @ x
     return _built(q, qtx, x, qtx)
 
@@ -122,19 +128,15 @@ def averaged_low_rank_approx(x: np.ndarray, ensemble: TrpEnsemble) -> LowRank:
 
     A plain 1/T average of :func:`low_rank_approx` with each replicate, kept
     factored: the T bases side by side (m x Tk) times the T coefficient
-    blocks stacked and divided by T.  Each replicate gets its own QR (and
-    its own :class:`RankDeficiencyWarning`); the coefficients of all T come
-    from one ``Q^T X`` over the Tk columns.  ``build_map("trp_t", ...)``
-    draws replicate t from the seed's child stream t, so all factor
-    matrices across replicates are independent.
+    blocks stacked and divided by T.  All T sketches come from one kernel
+    pass over X (``maps._replicate_images``); each k-column block gets its
+    own QR (and its own :class:`RankDeficiencyWarning`), and the
+    coefficients of all T come from one ``Q^T X`` over the Tk columns.
+    ``build_map("trp_t", ...)`` draws replicate t from the seed's child
+    stream t, so all factor matrices across replicates are independent.
     """
     x = _as_matrix(x)
-    # A loop, not a comprehension, whose own frame (Python < 3.12) would take
-    # the place of low_rank_approx's caller, where stacklevel 4 points.
-    bases = []
-    for omega in ensemble.replicates:
-        bases.append(_range_basis(x, omega, stacklevel=4))
-    q = np.hstack(bases)
+    q = np.hstack(_range_basis(_replicate_images(ensemble, x), ensemble.T, stacklevel=4))
     qtx = q.T @ x
     return _built(q, qtx / ensemble.T, x, qtx)
 
@@ -208,12 +210,16 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
     copies included, and any ``LowRank`` built by hand or with
     ``dataclasses.replace`` get a fresh ``Q^T X``.  When the squared error
     falls below ``FACTORED_ERROR_FLOOR * ||X||^2`` the subtraction has
-    cancelled too many digits and the dense residual is used instead.
+    cancelled too many digits and the dense residual is used instead.  A
+    finite X whose ``||X||^2`` overflows is scored as X and Xhat divided
+    by the power of two at ``max |X|``, which is exact, with a fresh
+    ``Q^T X``.
     """
     x = _as_real(x, np.asanyarray)
     # ||X||^2 is finite exactly when no entry is NaN or infinite, barring
     # overflow; only a sum that is not finite needs the entrywise test.
-    norm_sq = float(np.vdot(x, x))
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.vdot(x, x))
     if not math.isfinite(norm_sq):
         _check_finite(x)
     if isinstance(x_hat, LowRank):
@@ -232,6 +238,12 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray | LowRank) -> float:
         raise ValueError(f"shape mismatch: {x.shape} vs {got}")
     if norm_sq == 0.0:
         raise ValueError("relative error undefined for a zero reference")
+    if norm_sq == math.inf:
+        # A finite X whose ||X||^2 overflows: the error of X and Xhat both
+        # divided by the power of two at max |X|, an exact scaling.
+        e = int(np.frexp(np.max(np.abs(x)))[1])
+        scaled = LowRank(q, np.ldexp(b, -e)) if isinstance(x_hat, LowRank) else np.ldexp(x_hat, -e)
+        return relative_error(np.ldexp(x, -e), scaled)
     if isinstance(x_hat, LowRank):
         source, qtx = x_hat._projected or (None, None)
         err_sq = (

@@ -45,10 +45,15 @@ at a time and return one value per map; reductions across maps are the
 caller's.  Distances go through one chunked pair-gather kernel,
 :func:`_pair_distances`, whose memory is a fixed budget of ``_PAIR_CHUNK``
 difference entries, not a block per point.
+
+Like a map's ``apply``, every function here returns finite values or
+raises ``ValueError``: a finite input whose variance, squared norms, pair
+distances or norms overflow float64 is refused with a message that says so.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -106,6 +111,28 @@ def _check_moments(fourth_moments: Iterable[float]) -> list[float]:
     return moments
 
 
+def _refuse_overflow(formula: Callable[..., float]) -> Callable[..., float]:
+    """``formula`` run silenced, refusing a variance that overflows float64.
+
+    Its inputs are checked finite, so a value that is not finite, or an
+    ``OverflowError`` from a float power, can only come from an overflow.
+    """
+
+    @functools.wraps(formula)
+    def checked(*args, **kwargs) -> float:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = formula(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError("the variance of this x overflows float64")
+        return value
+
+    return checked
+
+
+@_refuse_overflow
 def theoretical_variance(
     x: np.ndarray,
     fourth_moments: Iterable[float],
@@ -147,6 +174,7 @@ def _tied_sum(
     return float(np.sum(gram * gram.transpose(0, 1, 4, 3, 2)))
 
 
+@_refuse_overflow
 def exact_variance(
     x: np.ndarray,
     dims: Sequence[int],
@@ -227,7 +255,8 @@ def _contract_all(x: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     The kernel allocates ``(m, d_h, k)`` for the head mode ``h`` that
     :func:`_head_mode` picks and, at order >= 3, the ``(m, d / d_h, k)`` tail
     block; :func:`squared_norm_samples` calls it once per block of trials,
-    so :func:`_trial_scratch` counts that scratch with the factors.
+    so :func:`_trial_scratch` counts that scratch with the factors.  Its
+    batch is the one row x, a single row block of the kernel.
     """
     dims = [f.shape[1] for f in factors]
     h = _head_mode(dims)
@@ -307,15 +336,17 @@ def _pair_distances(rows: np.ndarray, pairs: tuple) -> np.ndarray:
     most ``_PAIR_CHUNK`` entries (of one pair when a row alone is wider).
     Per pair this is the arithmetic of ``np.linalg.norm(rows[j] - rows[i],
     axis=1)``, bit for bit, without its copies: a distance run calls it
-    once for the points and once per map.
+    once for the points and once per map.  A distance that overflows comes
+    back as inf, silently; the callers refuse it.
     """
     i, j = pairs
     out = np.empty(len(i))
     step = max(1, _PAIR_CHUNK // rows.shape[1])
-    for s in range(0, len(i), step):
-        diff = rows[j[s : s + step]]
-        diff -= rows[i[s : s + step]]
-        np.square(diff, out=diff).sum(axis=1, out=out[s : s + step])
+    with np.errstate(over="ignore"):
+        for s in range(0, len(i), step):
+            diff = rows[j[s : s + step]]
+            diff -= rows[i[s : s + step]]
+            np.square(diff, out=diff).sum(axis=1, out=out[s : s + step])
     return np.sqrt(out, out=out)
 
 
@@ -335,6 +366,8 @@ def pairwise_distance_ratio(points: np.ndarray, maps: Iterable[Projection]) -> D
     pts = _as_points(points)
     i, j = np.triu_indices(len(pts), k=1)
     original = _pair_distances(pts, (i, j))
+    if not _all_finite(original):
+        raise ValueError("the pair distances of these points overflow float64")
     keep = original != 0.0
     if not keep.any():
         raise ValueError("all point pairs are exact duplicates")
@@ -343,6 +376,8 @@ def pairwise_distance_ratio(points: np.ndarray, maps: Iterable[Projection]) -> D
     # map() drops each map before the next is drawn, unlike a loop variable.
     for proj in map(lambda f: _project(f, pts), maps):
         r = _pair_distances(proj, pairs)
+        if not _all_finite(r):
+            raise ValueError("the pair distances of a map's image overflow float64")
         r /= kept
         ratios.append(r)
         avg.append(float(r.mean()))
@@ -353,9 +388,15 @@ def pairwise_distance_ratio(points: np.ndarray, maps: Iterable[Projection]) -> D
     return DistortionReport(np.array(avg), np.array(std), np.array(ratios), skipped)
 
 
-def _pair_cosines(rows: np.ndarray, iu: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Cosines of the row pairs ``iu``, and which pairs have two nonzero rows."""
-    norms = np.linalg.norm(rows, axis=1)
+def _pair_cosines(rows: np.ndarray, iu: tuple, of: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines of the row pairs ``iu``, and which pairs have two nonzero rows.
+
+    Row norms that overflow are refused with a ``ValueError`` naming ``of``.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    if not _all_finite(norms):
+        raise ValueError(f"the norms of {of} overflow float64")
     nonzero = norms != 0.0
     unit = rows / np.where(nonzero, norms, 1.0)[:, None]
     return (unit @ unit.T)[iu], (nonzero[:, None] & nonzero[None, :])[iu]
@@ -376,14 +417,14 @@ def cosine_similarity_rmse(points: np.ndarray, maps: Iterable[Projection]) -> Co
     """
     pts = _as_points(points)
     iu = np.triu_indices(pts.shape[0], k=1)
-    true_cos, defined = _pair_cosines(pts, iu)
+    true_cos, defined = _pair_cosines(pts, iu, "these points")
     if not defined.all():
         raise ValueError("cosine similarity undefined for zero-norm points")
     rmse = []
     skipped = 0
     # map() drops each map before the next is drawn, unlike a loop variable.
     for proj in map(lambda f: _project(f, pts), maps):
-        est_cos, keep = _pair_cosines(proj, iu)
+        est_cos, keep = _pair_cosines(proj, iu, "a map's image")
         skipped += keep.size - int(keep.sum())
         err = est_cos[keep] - true_cos[keep]
         rmse.append(math.sqrt(float(np.mean(err**2))) if err.size else math.nan)

@@ -62,7 +62,7 @@ GOLDEN = {
     "sketch-gaussian-order3": (
         ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4",
          "--k", "3,6", "--reps", "2", "--T", "2", "--seed", "6"],
-        "91798031d9486279b1248e20bc6f03036070da205e042035d8b570ebd8df8e58",
+        "f9a8f297f8570680bc2eaa31c1cf3df959321b49deb219e419c222a94f46cc7f",
     ),
     # An order-3 Tucker target of side 5, unfolded to 5 x 25.
     "sketch-gaussian-order3-target": (
@@ -75,7 +75,7 @@ GOLDEN = {
     "sketch-very-sparse-order3": (
         ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4", "--dist", "very_sparse",
          "--k", "3,6", "--reps", "2", "--T", "3", "--seed", "8"],
-        "a57637afbca958caec57e4d6299ab4eea925a054bd43185ad589a118690c456b",
+        "02d77fc778c62ea8d2c3c360438bc9a476bbcf8e62d6218c66fa49607782c84c",
     ),
     # Map kinds and k values out of sorted order: each draw is seeded by the
     # position of its kind and k on the command line, while the rows are
@@ -96,7 +96,7 @@ GOLDEN = {
     "sketch-gaussian-unsorted": (
         ["--experiment", "sketch", "--d", "64", "--dims", "4x4x4", "--map", "trp_t,rp,trp",
          "--k", "6,3", "--reps", "2", "--T", "2", "--seed", "11"],
-        "6eb026c23ae51c3be377f98345f2e76d6f8f1bc775179e13115de797449ee37a",
+        "d8119610a2132b0fcf9cbe231810a0706627689206c48c97a4f83ea1349ebc8d",
     ),
 }
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from contextlib import nullcontext
 
@@ -450,6 +451,55 @@ def test_apply_runs_the_kernel_once(monkeypatch):
             assert len(calls) == 1
 
 
+# ---------------------------------------------------------------- row blocks
+
+ROW_BLOCK_MAPS = {
+    f"{kind}-{'x'.join(map(str, dims))}-{name}": (kind, dims, dist)
+    for kind, dims in [("rp", (12,)), ("trp", (12,)), ("trp", (4, 3)), ("trp", (2, 3, 2)),
+                       ("trp", (2, 3, 2, 1)), ("trp_t", (2, 3, 2))]
+    for name, dist in [("gaussian", GAUSS), ("sparse", SPARSE)]
+}
+
+
+@pytest.mark.parametrize("kind, dims, dist", ROW_BLOCK_MAPS.values(), ids=ROW_BLOCK_MAPS.keys())
+def test_row_blocks_are_bitwise_one_block(monkeypatch, kind, dims, dist):
+    # Budgets of 1 to 37 entries walk the 23-row batch of every map of order
+    # 2 or more in blocks of 1 to 4 rows; the output is that of one block,
+    # byte for byte.
+    m = build_map(kind, dims, 4, dist, 3, SeedSpec(50))
+    xs = np.random.default_rng(51).standard_normal((23, 12))
+    monkeypatch.setattr(maps, "_KERNEL_SCRATCH", 2**40)
+    want = m.apply(xs)
+    for budget in (1, 7, 8, 13, 37):
+        monkeypatch.setattr(maps, "_KERNEL_SCRATCH", budget)
+        assert m.apply(xs).tobytes() == want.tobytes()
+        assert m.apply(np.zeros((0, 12))).shape == (0, 4)
+
+
+def test_row_blocks_of_a_stack_of_maps_are_bitwise_one_block(monkeypatch):
+    factors = [np.random.default_rng(i).standard_normal((3, d, 5)) for i, d in enumerate((4, 3, 2))]
+    xs = np.random.default_rng(52).standard_normal((9, 24))
+    want = _contract(xs, factors)
+    monkeypatch.setattr(maps, "_KERNEL_SCRATCH", 1)
+    assert want.shape == (3, 9, 5)
+    assert _contract(xs, factors).tobytes() == want.tobytes()
+
+
+def test_a_batch_peaks_within_one_row_block_budget():
+    # One block's (rows, d_1, k) intermediate would hold 4.3 budgets here;
+    # row blocks keep the peak under one budget plus the (n, k) output.
+    m = build_map("trp", (90, 4), 25, GAUSS, 1, SeedSpec(53))
+    xs = np.random.default_rng(54).standard_normal((500, m.d))
+    assert xs.shape[0] * 90 * 25 >= 4 * maps._KERNEL_SCRATCH
+    tracemalloc.start()
+    try:
+        y = m.apply(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * maps._KERNEL_SCRATCH + y.nbytes
+
+
 # ------------------------------------------------------------------ ensemble
 
 
@@ -464,6 +514,51 @@ def test_ensemble_decomposition():
     x = np.random.default_rng(1).standard_normal(8)
     manual = sum(rep.apply(x) for rep in ens.replicates) / math.sqrt(5)
     assert_allclose(ens.apply(x), manual, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_ensemble_refuses_a_replicate_sum_that_overflows():
+    # Two hand-built one-factor TRPs on the identity, each image x / sqrt(2):
+    # their sum used to return [inf, 0.] with "overflow encountered in add".
+    rep = TensorRandomProjection((np.eye(2),), (GAUSS,))
+    ens = TrpEnsemble((rep, rep))
+    before = np.geterr()
+    with pytest.raises(ValueError, match="overflow"):
+        ens.apply(np.array([1.5e308, 0.0]))
+    assert np.geterr() == before
+    with pytest.raises(ValueError, match="input holds NaN or infinite entries"):
+        ens.apply(np.array([math.nan, 0.0]))
+    assert_array_equal(ens.apply(np.array([1e307, 0.0])), [2e307 / math.sqrt(2) / math.sqrt(2), 0.0])
+
+
+@pytest.mark.parametrize("T", [1, 4])
+def test_replicate_images_are_the_replicates_side_by_side(monkeypatch, T):
+    ens = build_map("trp_t", (4, 3, 2), 5, SPARSE, T, SeedSpec(55))
+    xs = np.random.default_rng(56).standard_normal((7, 24))
+    calls = []
+
+    def counted(xs, factors):
+        calls.append(xs.shape)
+        return _contract(xs, factors)
+
+    monkeypatch.setattr(maps, "_contract", counted)
+    z = maps._replicate_images(ens, xs)
+    assert calls == [(7, 24)]  # every replicate from one kernel pass
+    want = np.hstack([rep.apply(xs) for rep in ens.replicates])
+    if T == 1:
+        assert z.tobytes() == want.tobytes()
+    assert_allclose(z, want, rtol=1e-13, atol=1e-13)
+    assert_array_equal(maps._replicate_images(ens, xs[0]), z[0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_replicate_images_follow_the_rule_of_apply():
+    rep = TensorRandomProjection((np.ones((2, 2)),), (GAUSS,))
+    ens = TrpEnsemble((rep, rep))
+    with pytest.raises(ValueError, match="overflow"):
+        maps._replicate_images(ens, np.full((3, 2), 1e308))
+    with pytest.raises(ValueError, match="input holds NaN or infinite entries"):
+        maps._replicate_images(ens, np.array([[math.inf, 0.0]]))
 
 
 def test_ensemble_replicates_are_independent_draws():

@@ -8,10 +8,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import mode_n_unfold
-from tensorproj import sketch
+from tensorproj import maps, sketch
 from tensorproj.distributions import EntryDistribution, SeedSpec, very_sparse_family
 from tensorproj.linalg import qr_factor
-from tensorproj.maps import build_map
+from tensorproj.maps import TensorRandomProjection, build_map
 from tensorproj.sketch import (
     LowRank,
     RankDeficiencyWarning,
@@ -131,10 +131,18 @@ def test_averaging_one_replicate_matches_single_sketch():
 def test_averaging_is_the_mean_over_the_ensemble_replicates():
     x = np.random.default_rng(23).standard_normal((16, 12))
     ensemble = build_map("trp_t", (4, 3), 3, GAUSS, 4, SeedSpec(24))
-    approxs = [low_rank_approx(x, rep) for rep in ensemble.replicates]
     averaged = low_rank_approx(x, ensemble)
-    assert_array_equal(averaged.q, np.hstack([a.q for a in approxs]))
-    assert_array_equal(averaged.b, np.vstack([a.b for a in approxs]) / 4)
+    # The oracle: one TRP of the replicates' factors side by side, its image
+    # split into k-column blocks and each block orthonormalized.  Its 1/sqrt(Tk)
+    # scale is the replicates' 1/sqrt(k) halved, exactly, at T = 4.
+    side_by_side = TensorRandomProjection(
+        [np.hstack(f) for f in zip(*(rep.factors for rep in ensemble.replicates))],
+        ensemble.replicates[0].dists,
+    )
+    q = np.hstack([qr_factor(z).q for z in np.split(side_by_side.apply(x), 4, axis=1)])
+    assert_array_equal(averaged.q, q)
+    assert_array_equal(averaged.b, q.T @ x / 4)
+    approxs = [low_rank_approx(x, rep) for rep in ensemble.replicates]
     assert_allclose(
         averaged.dense(), np.mean([a.dense() for a in approxs], axis=0), rtol=0, atol=1e-12
     )
@@ -512,6 +520,37 @@ def test_relative_error_checks_x_first_and_only_rejects_non_finite_entries():
                 relative_error([[bad, 0.0]], x_hat)
     # ||X||^2 overflows for this finite X; that is not a non-finite entry.
     assert relative_error([[1e200, 0.0]], np.array([[1e200, 0.0]])) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_finite_x_whose_squared_norm_overflows_is_scored():
+    # ||X||^2 used to overflow to inf, and inf / inf gave nan with a warning.
+    big = np.full((3, 3), 1e200)
+    assert relative_error(big, np.zeros((3, 3))) == 1.0
+    assert relative_error(big, LowRank(np.zeros((3, 1)), np.zeros((1, 3)))) == 1.0
+    # Scaling by a power of two is exact, so X and a factored approximation
+    # scaled by 2**600 score as the unscaled pair.
+    x = noisy_low_rank(39)
+    approx = low_rank_approx(x, build_map("trp_t", (6, 8), 6, GAUSS, 3, SeedSpec(40)))
+    scaled = LowRank(approx.q, np.ldexp(approx.b, 600))
+    assert relative_error(np.ldexp(x, 600), scaled) == pytest.approx(
+        relative_error(x, approx), rel=1e-12
+    )
+
+
+def test_an_ensemble_sketch_reads_x_in_one_kernel_pass(monkeypatch):
+    # Each of the T replicates used to run the kernel over X on its own.
+    calls = []
+    contract = maps._contract
+
+    def counted(xs, factors):
+        calls.append(xs.shape)
+        return contract(xs, factors)
+
+    monkeypatch.setattr(maps, "_contract", counted)
+    x = noisy_low_rank(41)
+    low_rank_approx(x, build_map("trp_t", (6, 8), 6, GAUSS, 5, SeedSpec(42)))
+    assert calls == [x.shape]
 
 
 def test_relative_error_checks_factor_shapes():

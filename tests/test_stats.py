@@ -335,6 +335,26 @@ def test_non_finite_inputs_and_moments_are_rejected(bad):
         theoretical_variance(np.ones(8), [bad], 2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e80, 1e100, 1e200])
+def test_a_variance_that_overflows_is_refused(scale):
+    # x = 1e80 used to raise a bare OverflowError (34, 'Numerical result out of range').
+    x = np.full(12, scale)
+    with pytest.raises(ValueError, match="^the variance of this x overflows float64$"):
+        theoretical_variance(x, [3.0, 3.0], 3)
+    with pytest.raises(ValueError, match="^the variance of this x overflows float64$"):
+        exact_variance(x, (3, 4), [3.0, 3.0], 3)
+    assert np.geterr()["over"] != "ignore"
+    # A large x whose variance stays finite is not refused.
+    x = np.full(12, 1e70)
+    assert theoretical_variance(x, [3.0, 3.0], 3) == pytest.approx(
+        theoretical_variance(np.ones(12), [3.0, 3.0], 3) * 1e280, rel=1e-12
+    )
+    assert exact_variance(x, (3, 4), [3.0, 3.0], 3) == pytest.approx(
+        exact_variance(np.ones(12), (3, 4), [3.0, 3.0], 3) * 1e280, rel=1e-12
+    )
+
+
 # ------------------------------------------------------------ mean and SE
 
 
@@ -776,6 +796,25 @@ def test_cosine_rmse_validation():
         cosine_similarity_rmse(pts, iter([]))
     with pytest.raises(ValueError, match="two point rows"):
         cosine_similarity_rmse(pts[:1], [lambda p: p] * 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_estimators_refuse_points_or_images_whose_distances_overflow():
+    # Three Gaussian points times 1e200 used to give avg_ratio [nan] and
+    # per_rep [0.] with only overflow warnings.
+    pts = np.random.default_rng(15).standard_normal((3, 4))
+    with pytest.raises(ValueError, match="^the pair distances of these points overflow float64$"):
+        pairwise_distance_ratio(pts * 1e200, [lambda p: p])
+    with pytest.raises(ValueError, match="^the norms of these points overflow float64$"):
+        cosine_similarity_rmse(pts * 1e200, [lambda p: p])
+    # Points whose own distances and norms fit, under a map that scales by 1e110.
+    big = pts * 1e100
+    with pytest.raises(ValueError, match="^the pair distances of a map's image overflow float64$"):
+        pairwise_distance_ratio(big, [lambda p: p, lambda p: p * 1e110])
+    with pytest.raises(ValueError, match="^the norms of a map's image overflow float64$"):
+        cosine_similarity_rmse(big, [lambda p: p, lambda p: p * 1e110])
+    assert pairwise_distance_ratio(big, [lambda p: p]).avg_ratio[0] == pytest.approx(1.0)
+    assert cosine_similarity_rmse(big, [lambda p: p]).per_rep[0] == pytest.approx(0.0, abs=1e-15)
 
 
 # ------------------------------------------------------------ per-map oracle
